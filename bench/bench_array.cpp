@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
       const double delta_pct = (years / baseline_years - 1.0) * 100.0;
       table.add_row({arm.name, fmt(years, 3),
-                     (delta_pct >= 0 ? "+" : "") + fmt(delta_pct, 1) + "%",
+                     std::string(delta_pct >= 0 ? "+" : "").append(fmt(delta_pct, 1)) + "%",
                      fmt(out.cross_chip.stddev, 2), fmt(out.cross_chip.max_over_avg, 3),
                      std::to_string(out.coordinator.migrations)});
 

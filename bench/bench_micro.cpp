@@ -204,7 +204,7 @@ std::uint64_t hot_data_classify() {
   for (int i = 0; i < 100'000; ++i) id.record_write(static_cast<Lba>(rng.below(10'000)));
   std::uint64_t hot = 0;
   for (std::uint64_t i = 0; i < kIters; ++i) {
-    hot += id.is_hot(static_cast<Lba>(rng.below(10'000))) ? 1 : 0;
+    hot += id.is_hot(static_cast<Lba>(rng.below(10'000))) ? 1U : 0U;
   }
   volatile std::uint64_t sink = hot;
   (void)sink;
@@ -583,8 +583,10 @@ int main(int argc, char** argv) {
     return layer_write(
         [](nand::NandChip& chip) {
           // Moderate utilization and a half-map CMT: the point measures the
-          // CMT + translation-page write path, not worst-case GC thrash (the
-          // default 98% budget spends ~100x the time in map RMW storms).
+          // CMT + translation-page write path, not worst-case GC thrash. At
+          // the default 98% budget the same writes take ~23x as long (28 map
+          // programs and 21 map reads per host write; 9.6 s vs 0.42 s on a
+          // 4-vCPU Xeon).
           dftl::DftlConfig cfg;
           cfg.lba_count = 13'000;  // ~80% of the 16384 physical pages
           cfg.cmt_capacity = 16;

@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
         static_cast<double>(baseline.counters.total_erases()) / baseline.elapsed_years;
     table.add_row({std::to_string(points[i].k), fmt(points[i].t, 0),
                    std::to_string(wear::Bet::size_bytes(scale.block_count, points[i].k)) + "B",
-                   fmt(years, 3), "+" + fmt((years / baseline_years - 1.0) * 100.0, 1) + "%",
+                   fmt(years, 3),
+                   std::string("+").append(fmt((years / baseline_years - 1.0) * 100.0, 1)) + "%",
                    fmt((erases_per_year / base_rate - 1.0) * 100.0, 2)});
     runner::Json pj = runner::Json::object();
     pj.set("k", points[i].k);

@@ -42,7 +42,7 @@ int main() {
                    fmt(baseline.erase_summary.stddev, 1),
                    std::to_string(baseline.erase_summary.max)});
     table.add_row({std::string(sim::to_string(layer)), "yes", fmt(swl_years, 3),
-                   "+" + fmt((swl_years / base_years - 1.0) * 100.0, 1) + "%",
+                   std::string("+").append(fmt((swl_years / base_years - 1.0) * 100.0, 1)) + "%",
                    fmt(with_swl.erase_summary.stddev, 1),
                    std::to_string(with_swl.erase_summary.max)});
 

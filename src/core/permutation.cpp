@@ -11,7 +11,8 @@ RandomPermutation::RandomPermutation(std::uint64_t size, std::uint64_t seed) : s
   SWL_REQUIRE(size >= 1, "permutation domain must be non-empty");
   // Smallest even bit width whose range covers size (minimum 2 bits so both
   // Feistel halves are non-trivial).
-  std::uint32_t bits = std::max<std::uint32_t>(2, std::bit_width(size - 1));
+  std::uint32_t bits =
+      std::max<std::uint32_t>(2, static_cast<std::uint32_t>(std::bit_width(size - 1)));
   if (bits % 2 != 0) ++bits;
   half_bits_ = bits / 2;
   half_mask_ = (1ULL << half_bits_) - 1;

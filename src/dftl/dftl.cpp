@@ -1,14 +1,36 @@
 #include "dftl/dftl.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "core/contracts.hpp"
 
 namespace swl::dftl {
 
+// On flash a translation page is the in-RAM entry array verbatim (u32 entries,
+// then zero padding to the page): decoding is one memcpy and programs go
+// straight from the entries, so the host must be little-endian like the format.
+static_assert(std::endian::native == std::endian::little,
+              "the translation-page codec assumes a little-endian host");
+
 using nand::PageState;
 
-Dftl::Dftl(nand::NandChip& chip, DftlConfig config)
+namespace {
+
+/// Entry k of a translation-page image; unmapped for a null (never-written)
+/// page.
+std::uint32_t image_entry(const std::uint8_t* image, std::uint32_t k) noexcept {
+  std::uint32_t e = Dftl::kUnmappedEntry;
+  if (image != nullptr) std::memcpy(&e, image + 4ULL * k, sizeof e);
+  return e;
+}
+
+}  // namespace
+
+Dftl::Dftl(nand::NandChip& chip, DftlConfig config) : Dftl(chip, config, /*mount=*/false) {}
+
+Dftl::Dftl(nand::NandChip& chip, DftlConfig config, bool mount)
     : tl::TranslationLayer(chip),
       config_(config),
       pool_(chip.geometry().block_count, config.alloc_policy),
@@ -19,27 +41,17 @@ Dftl::Dftl(nand::NandChip& chip, DftlConfig config)
       tindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
               config.gc_cost_weight) {
   init_config();
+  if (mount) {
+    rebuild_from_flash();
+    return;
+  }
   for (BlockIndex b = 0; b < chip.geometry().block_count; ++b) {
     pool_.add(b, chip.erase_count(b));
   }
 }
 
-Dftl::Dftl(nand::NandChip& chip, DftlConfig config, MountTag)
-    : tl::TranslationLayer(chip),
-      config_(config),
-      pool_(chip.geometry().block_count, config.alloc_policy),
-      dscanner_(chip.geometry().block_count),
-      tscanner_(chip.geometry().block_count),
-      dindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight),
-      tindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight) {
-  init_config();
-  rebuild_from_flash();
-}
-
 std::unique_ptr<Dftl> Dftl::mount(nand::NandChip& chip, DftlConfig config) {
-  return std::unique_ptr<Dftl>(new Dftl(chip, config, MountTag{}));
+  return std::unique_ptr<Dftl>(new Dftl(chip, config, /*mount=*/true));
 }
 
 void Dftl::init_config() {
@@ -84,8 +96,9 @@ void Dftl::init_config() {
   config_.cmt_capacity = std::min<std::uint32_t>(config_.cmt_capacity, tpage_count_);
 
   gtd_.assign(tpage_count_, kInvalidPpa);
-  cmt_arena_.assign(static_cast<std::size_t>(config_.cmt_capacity) * config_.lbas_per_tpage,
-                    kUnmappedEntry);
+  tpage_stride_ = (geo.page_size_bytes + 3) / 4;
+  // Zero-filled: every slot's tail past lbas_per_tpage is the page padding.
+  cmt_arena_.assign(static_cast<std::size_t>(config_.cmt_capacity) * tpage_stride_, 0);
   slot_of_.assign(tpage_count_, kNoSlot);
   tvpn_of_slot_.assign(config_.cmt_capacity, kInvalidLba);
   slot_dirty_.assign(config_.cmt_capacity, 0);
@@ -96,8 +109,9 @@ void Dftl::init_config() {
   for (std::uint32_t s = config_.cmt_capacity; s > 0; --s) free_slots_.push_back(s - 1);
 
   class_of_.assign(geo.block_count, BlockClass::free);
-  tpage_buf_.assign(geo.page_size_bytes, 0);
-  rmw_entries_.assign(config_.lbas_per_tpage, kUnmappedEntry);
+  rmw_entries_.assign(tpage_stride_, 0);
+  gc_live_.reserve(geo.pages_per_block);
+  gc_moved_.reserve(geo.pages_per_block);
   gc_trigger_cached_ = gc_trigger_level();
   use_victim_index_ = !config_.reference_victim_scan;
   set_fast_paths(&Dftl::fast_write_thunk, &Dftl::fast_read_thunk);
@@ -111,34 +125,18 @@ BlockIndex Dftl::gc_trigger_level() const noexcept {
 
 // -- packed translation-page codec -------------------------------------------
 
-void Dftl::encode_tpage(const std::uint32_t* entries) {
-  std::fill(tpage_buf_.begin(), tpage_buf_.end(), std::uint8_t{0});
-  for (std::uint32_t i = 0; i < config_.lbas_per_tpage; ++i) {
-    const std::uint32_t e = entries[i];
-    tpage_buf_[4 * i + 0] = static_cast<std::uint8_t>(e & 0xFF);
-    tpage_buf_[4 * i + 1] = static_cast<std::uint8_t>((e >> 8) & 0xFF);
-    tpage_buf_[4 * i + 2] = static_cast<std::uint8_t>((e >> 16) & 0xFF);
-    tpage_buf_[4 * i + 3] = static_cast<std::uint8_t>((e >> 24) & 0xFF);
-  }
-}
-
-void Dftl::peek_tpage(Ppa src, std::uint32_t* entries) const {
+std::span<const std::uint8_t> Dftl::tpage_image(Ppa src) const {
   const nand::PageReadResult r = chip().read_page(src);
   SWL_ASSERT(r.status == Status::ok, "translation page unreadable");
   SWL_ASSERT(r.spare.role == nand::PageRole::translation,
              "GTD points at a non-translation page");
   SWL_ASSERT(r.data.size() >= 4ULL * config_.lbas_per_tpage,
              "translation page stored without its byte payload");
-  for (std::uint32_t i = 0; i < config_.lbas_per_tpage; ++i) {
-    entries[i] = static_cast<std::uint32_t>(r.data[4 * i + 0]) |
-                 (static_cast<std::uint32_t>(r.data[4 * i + 1]) << 8) |
-                 (static_cast<std::uint32_t>(r.data[4 * i + 2]) << 16) |
-                 (static_cast<std::uint32_t>(r.data[4 * i + 3]) << 24);
-  }
+  return r.data;
 }
 
 void Dftl::decode_tpage(Ppa src, std::uint32_t* entries) {
-  peek_tpage(src, entries);
+  std::memcpy(entries, tpage_image(src).data(), 4ULL * config_.lbas_per_tpage);
   count_map_read();
 }
 
@@ -168,19 +166,17 @@ void Dftl::lru_touch(std::uint32_t slot) {
 }
 
 Ppa Dftl::try_program_tpage(Lba tvpn, const std::uint32_t* entries, TpageWrite cause) {
-  encode_tpage(entries);
-  const PageIndex pages = chip().geometry().pages_per_block;
+  const std::span<const std::uint8_t> image{reinterpret_cast<const std::uint8_t*>(entries),
+                                            chip().geometry().page_size_bytes};
   Ppa dst;
   while (true) {
-    const bool need_new_block =
-        trans_frontier_ == kInvalidBlock || trans_next_page_ >= pages;
-    if (need_new_block && pool_.empty()) return kInvalidPpa;
+    if (trans_frontier_full() && pool_.empty()) return kInvalidPpa;
     dst = take_frontier_page(trans_frontier_, trans_next_page_, BlockClass::translation);
     // spare.lba carries the translation virtual page number; the token
     // mirrors it so the simulated ECC covers something stable.
     const Status st = chip().program_page(
         dst, tvpn, nand::SpareArea{tvpn, ++write_sequence_, 0, nand::PageRole::translation},
-        tpage_buf_);
+        image);
     sync_victim(dst.block);
     if (st == Status::ok) break;
     SWL_ASSERT(st == Status::program_failed, "translation frontier page was not programmable");
@@ -212,9 +208,7 @@ bool Dftl::cannot_afford_writeback() const {
   // to an uncached peek of the flash translation page.
   if (!free_slots_.empty()) return false;
   if (lru_tail_ == kNoSlot || slot_dirty_[lru_tail_] == 0) return false;
-  const bool need_new_block = trans_frontier_ == kInvalidBlock ||
-                              trans_next_page_ >= chip().geometry().pages_per_block;
-  return need_new_block && pool_.size() < 2;
+  return trans_frontier_full() && pool_.size() < 2;
 }
 
 std::uint32_t Dftl::ensure_resident(Lba tvpn) {
@@ -243,10 +237,7 @@ std::uint32_t Dftl::ensure_resident(Lba tvpn) {
       while (flushed < config_.writeback_batch && cur != kNoSlot) {
         const std::uint32_t next_cold = lru_prev_[cur];
         if (slot_dirty_[cur] != 0) {
-          if (trans_frontier_ == kInvalidBlock ||
-              trans_next_page_ >= chip().geometry().pages_per_block) {
-            break;
-          }
+          if (trans_frontier_full()) break;
           if (!write_back_slot(cur, TpageWrite::writeback)) break;
           ++stats_.batched_writebacks;
           ++flushed;
@@ -326,6 +317,11 @@ Status Dftl::write_internal(Lba lba, std::uint64_t payload_token,
     if (st == Status::ok) break;
     SWL_ASSERT(st == Status::program_failed, "frontier page was not programmable");
   }
+  remap_host_write(slot, lba, dst);
+  return Status::ok;
+}
+
+void Dftl::remap_host_write(std::uint32_t slot, Lba lba, Ppa dst) {
   std::uint32_t* entries = slot_entries(slot);
   const std::uint32_t idx = lba % config_.lbas_per_tpage;
   const Ppa old = unpack_entry(entries[idx]);
@@ -336,37 +332,35 @@ Status Dftl::write_internal(Lba lba, std::uint64_t payload_token,
   }
   entries[idx] = pack_entry(dst);
   slot_dirty_[slot] = 1;
-  if (sink_ != nullptr) sink_->on_mark_dirty(tvpn);
+  if (sink_ != nullptr) sink_->on_mark_dirty(tvpn_of(lba));
   finish_host_write();
-  return Status::ok;
 }
 
-Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
-  SWL_REQUIRE(lba < config_.lba_count, "LBA out of range");
-  SWL_REQUIRE(payload_token != nullptr, "null output");
+Ppa Dftl::map_for_read(Lba lba) {
   // A cache miss may have to write back a dirty translation page, so reads
   // maintain the free-block level too (unlike the in-RAM FTL, a DFTL read is
   // not write-free).
   if (pool_.size() < gc_trigger_cached_) maybe_gc();
   const Lba tvpn = tvpn_of(lba);
   const std::uint32_t idx = lba % config_.lbas_per_tpage;
-  std::uint32_t slot = kNoSlot;
   if (slot_of_[tvpn] != kNoSlot || !cannot_afford_writeback()) {
-    slot = ensure_resident(tvpn);
+    const std::uint32_t slot = ensure_resident(tvpn);
+    if (slot != kNoSlot) return unpack_entry(slot_entries(slot)[idx]);
   }
-  Ppa src;
-  if (slot == kNoSlot) {
-    // No room to evict (or the eviction write-back found no destination,
-    // possible under media-error storms): peek the map entry straight from
-    // flash, uncached. Reads must stay available even with a full dirty CMT
-    // and an exhausted pool.
-    const Ppa tpage = gtd_[tvpn];
-    if (!tpage.valid()) return Status::lba_not_mapped;
-    decode_tpage(tpage, rmw_entries_.data());
-    src = unpack_entry(rmw_entries_[idx]);
-  } else {
-    src = unpack_entry(slot_entries(slot)[idx]);
-  }
+  // No room to evict (or the eviction write-back found no destination,
+  // possible under media-error storms): peek the map entry straight from
+  // flash, uncached. Reads must stay available even with a full dirty CMT
+  // and an exhausted pool.
+  const Ppa tpage = gtd_[tvpn];
+  if (!tpage.valid()) return kInvalidPpa;
+  decode_tpage(tpage, rmw_entries_.data());
+  return unpack_entry(rmw_entries_[idx]);
+}
+
+Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
+  SWL_REQUIRE(lba < config_.lba_count, "LBA out of range");
+  SWL_REQUIRE(payload_token != nullptr, "null output");
+  const Ppa src = map_for_read(lba);
   if (!src.valid()) return Status::lba_not_mapped;
   const std::uint64_t token = chip().read_token(src);
   SWL_ASSERT(chip().spare(src).lba == lba, "spare-area LBA does not match the mapping");
@@ -380,22 +374,7 @@ Status Dftl::read(Lba lba, std::uint64_t* payload_token) { return read_impl(lba,
 Status Dftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {
   SWL_REQUIRE(lba < config_.lba_count, "LBA out of range");
   SWL_REQUIRE(out.size() == chip().geometry().page_size_bytes, "out must be exactly one page");
-  if (pool_.size() < gc_trigger_cached_) maybe_gc();
-  const Lba tvpn = tvpn_of(lba);
-  const std::uint32_t idx = lba % config_.lbas_per_tpage;
-  std::uint32_t slot = kNoSlot;
-  if (slot_of_[tvpn] != kNoSlot || !cannot_afford_writeback()) {
-    slot = ensure_resident(tvpn);
-  }
-  Ppa src;
-  if (slot == kNoSlot) {
-    const Ppa tpage = gtd_[tvpn];
-    if (!tpage.valid()) return Status::lba_not_mapped;
-    decode_tpage(tpage, rmw_entries_.data());
-    src = unpack_entry(rmw_entries_[idx]);
-  } else {
-    src = unpack_entry(slot_entries(slot)[idx]);
-  }
+  const Ppa src = map_for_read(lba);
   if (!src.valid()) return Status::lba_not_mapped;
   const nand::PageReadResult r = chip().read_page(src);
   SWL_ASSERT(r.status == Status::ok, "mapping pointed at an unreadable page");
@@ -415,7 +394,7 @@ bool Dftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t p
   // Bail-out checks first — nothing below them may mutate state. The fast
   // path requires the translation page to be resident (no eviction, no
   // fetch), the host frontier open and the pool above the GC trigger, so it
-  // mirrors write_internal's resident case statement for statement.
+  // is write_internal's resident case without the checks.
   if (lba >= self.config_.lba_count || !chip.fast_media()) return false;
   if (self.pool_.size() < self.gc_trigger_cached_) return false;
   const PageIndex pages = chip.geometry().pages_per_block;
@@ -431,18 +410,7 @@ bool Dftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t p
       chip.program_page(dst, payload_token, nand::SpareArea{lba, ++self.write_sequence_, 0});
   SWL_ASSERT(st == Status::ok, "fast-path frontier page was not programmable");
   self.sync_victim(dst.block);
-  std::uint32_t* entries = self.slot_entries(slot);
-  const std::uint32_t idx = lba % self.config_.lbas_per_tpage;
-  const Ppa old = self.unpack_entry(entries[idx]);
-  if (old.valid()) {
-    const Status inv = chip.invalidate_page(old);
-    SWL_ASSERT(inv == Status::ok, "stale mapping pointed at an unprogrammed page");
-    self.sync_victim(old.block);
-  }
-  entries[idx] = self.pack_entry(dst);
-  self.slot_dirty_[slot] = 1;
-  if (self.sink_ != nullptr) self.sink_->on_mark_dirty(tvpn);
-  self.finish_host_write();
+  self.remap_host_write(slot, lba, dst);
   return true;
 }
 
@@ -450,15 +418,12 @@ bool Dftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t p
 
 void Dftl::maybe_gc() {
   const PageIndex pages = chip().geometry().pages_per_block;
-  if (host_frontier_ != kInvalidBlock && host_next_page_ >= pages) {
-    host_frontier_ = kInvalidBlock;
-  }
-  if (gc_frontier_ != kInvalidBlock && gc_next_page_ >= pages) {
-    gc_frontier_ = kInvalidBlock;
-  }
-  if (trans_frontier_ != kInvalidBlock && trans_next_page_ >= pages) {
-    trans_frontier_ = kInvalidBlock;
-  }
+  const auto close_if_full = [pages](BlockIndex& frontier, PageIndex next_page) {
+    if (next_page >= pages) frontier = kInvalidBlock;
+  };
+  close_if_full(host_frontier_, host_next_page_);
+  close_if_full(gc_frontier_, gc_next_page_);
+  close_if_full(trans_frontier_, trans_next_page_);
   while (pool_.size() < gc_trigger_cached_) {
     if (!gc_once()) break;
   }
@@ -569,11 +534,8 @@ bool Dftl::clean_data_block(BlockIndex victim) {
   // Collect the victim's live pages and group them by translation page, so
   // one direct read-modify-write per distinct non-resident translation page
   // covers all its relocated entries (the DFTL batch update).
-  struct LivePage {
-    Lba tvpn;
-    PageIndex page;
-  };
-  std::vector<LivePage> live;
+  std::vector<LivePage>& live = gc_live_;
+  live.clear();
   for (PageIndex p = 0; p < geo.pages_per_block; ++p) {
     if (chip().page_state({victim, p}) != PageState::valid) continue;
     const Lba lba = chip().spare({victim, p}).lba;
@@ -636,13 +598,8 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       entries = rmw_entries_.data();
     }
     // Copy the group's pages, patching the (cached or scratch) entries.
-    struct Moved {
-      Ppa src;
-      Ppa dst;
-      Lba lba;
-      std::uint32_t idx;
-    };
-    std::vector<Moved> moved;
+    std::vector<MovedPage>& moved = gc_moved_;
+    moved.clear();
     bool aborted = false;
     for (std::size_t k = i; k < end && !aborted; ++k) {
       const Ppa src{victim, live[k].page};
@@ -674,7 +631,7 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       }
       if (!aborted) {
         if (entries != nullptr) entries[idx] = pack_entry(dst);
-        moved.push_back({src, dst, lba, idx});
+        moved.push_back({src, dst, lba});
       }
     }
     // Land the group's map update, then retire the sources.
@@ -683,7 +640,7 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       if (mount_truth_ != nullptr) {
         // Record the moves in the truth table and queue the translation page
         // for one recovery rewrite after reconcile converges.
-        for (const Moved& m : moved) {
+        for (const MovedPage& m : moved) {
           (*mount_truth_)[m.lba] = m.dst;
         }
         mount_enqueue(tvpn);
@@ -698,7 +655,7 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       }
     }
     if (landed) {
-      for (const Moved& m : moved) {
+      for (const MovedPage& m : moved) {
         const Status inv = chip().invalidate_page(m.src);
         SWL_ASSERT(inv == Status::ok, "relocated source page was not invalidatable");
         count_live_copy();
@@ -708,11 +665,11 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       // Roll the copies back: the sources are still valid and, with the entry
       // patches undone, still mapped — every abort leaves the device
       // consistent.
-      for (const Moved& m : moved) {
+      for (const MovedPage& m : moved) {
         const Status inv = chip().invalidate_page(m.dst);
         SWL_ASSERT(inv == Status::ok, "GC copy was not invalidatable");
         sync_victim(m.dst.block);
-        if (entries != nullptr) entries[m.idx] = pack_entry(m.src);
+        if (entries != nullptr) entries[m.lba % config_.lbas_per_tpage] = pack_entry(m.src);
       }
       return false;
     }
@@ -805,6 +762,17 @@ void Dftl::rebuild_from_flash() {
   std::vector<Ppa> truth(config_.lba_count, kInvalidPpa);
   std::vector<std::uint64_t> win_seq(config_.lba_count, 0);
   std::vector<std::uint64_t> t_win_seq(tpage_count_, 0);
+  const auto keep_newest = [&](Ppa& winner, std::uint64_t& winner_seq, Ppa addr,
+                               std::uint64_t seq) {
+    if (!winner.valid() || seq > winner_seq) {
+      // Benign discard: the older version is superseded by construction.
+      if (winner.valid()) discard_status(chip().invalidate_page(winner));
+      winner = addr;
+      winner_seq = seq;
+    } else {
+      discard_status(chip().invalidate_page(addr));  // benign: stale duplicate
+    }
+  };
   for (BlockIndex b = 0; b < geo.block_count; ++b) {
     for (PageIndex p = 0; p < geo.pages_per_block; ++p) {
       const Ppa addr{b, p};
@@ -819,16 +787,7 @@ void Dftl::rebuild_from_flash() {
           continue;
         }
         class_of_[b] = BlockClass::translation;
-        const Lba tvpn = spare.lba;
-        const Ppa previous = gtd_[tvpn];
-        if (!previous.valid() || spare.sequence > t_win_seq[tvpn]) {
-          // Benign discard: the older version is superseded by construction.
-          if (previous.valid()) discard_status(chip().invalidate_page(previous));
-          gtd_[tvpn] = addr;
-          t_win_seq[tvpn] = spare.sequence;
-        } else {
-          discard_status(chip().invalidate_page(addr));  // benign: stale duplicate
-        }
+        keep_newest(gtd_[spare.lba], t_win_seq[spare.lba], addr, spare.sequence);
         continue;
       }
       if (spare.lba == kInvalidLba || spare.lba >= config_.lba_count) {
@@ -836,15 +795,7 @@ void Dftl::rebuild_from_flash() {
         continue;
       }
       class_of_[b] = BlockClass::data;
-      const Ppa previous = truth[spare.lba];
-      if (!previous.valid() || spare.sequence > win_seq[spare.lba]) {
-        // Benign discard: the older version is superseded by construction.
-        if (previous.valid()) discard_status(chip().invalidate_page(previous));
-        truth[spare.lba] = addr;
-        win_seq[spare.lba] = spare.sequence;
-      } else {
-        discard_status(chip().invalidate_page(addr));  // benign: stale duplicate
-      }
+      keep_newest(truth[spare.lba], win_seq[spare.lba], addr, spare.sequence);
     }
   }
   // Pass 2: rebuild the pool from fully erased blocks and re-adopt the
@@ -903,7 +854,8 @@ void Dftl::rebuild_from_flash() {
   mount_truth_ = &truth;
   mount_pending_flag_ = &pending_flag;
   mount_pending_ = &pending;
-  std::vector<std::uint32_t> expected(config_.lbas_per_tpage, kUnmappedEntry);
+  // Page stride with a zero tail, like a CMT slot: recovery programs from it.
+  std::vector<std::uint32_t> expected(tpage_stride_, 0);
   const auto build_expected = [&](Lba tvpn) {
     bool any = false;
     for (std::uint32_t k = 0; k < config_.lbas_per_tpage; ++k) {
@@ -914,16 +866,17 @@ void Dftl::rebuild_from_flash() {
     }
     return any;
   };
+  const auto flash_matches_expected = [&](Lba tvpn) {
+    return std::memcmp(tpage_image(gtd_[tvpn]).data(), expected.data(),
+                       4ULL * config_.lbas_per_tpage) == 0;
+  };
   for (Lba tvpn = 0; tvpn < tpage_count_; ++tvpn) {
     const bool any_mapped = build_expected(tvpn);
     if (!gtd_[tvpn].valid()) {
       if (any_mapped) mount_enqueue(tvpn);
       continue;
     }
-    peek_tpage(gtd_[tvpn], rmw_entries_.data());
-    if (!std::equal(expected.begin(), expected.end(), rmw_entries_.begin())) {
-      mount_enqueue(tvpn);
-    }
+    if (!flash_matches_expected(tvpn)) mount_enqueue(tvpn);
   }
   std::size_t cursor = 0;
   const std::uint64_t bound = 64ULL * (tpage_count_ + geo.block_count) + 1024;
@@ -944,10 +897,7 @@ void Dftl::rebuild_from_flash() {
       }
       continue;
     }
-    if (gtd_[tvpn].valid()) {
-      peek_tpage(gtd_[tvpn], rmw_entries_.data());
-      if (std::equal(expected.begin(), expected.end(), rmw_entries_.begin())) continue;
-    }
+    if (gtd_[tvpn].valid() && flash_matches_expected(tvpn)) continue;
     maybe_gc();  // GC may relocate data pages and re-queue translation pages
     const bool any_mapped_now = build_expected(tvpn);
     if (!any_mapped_now) continue;  // re-queued state handled on its next visit
@@ -962,16 +912,24 @@ void Dftl::rebuild_from_flash() {
 
 // -- introspection ------------------------------------------------------------
 
+const std::uint8_t* Dftl::effective_image(Lba tvpn) const {
+  const std::uint32_t slot = slot_of_[tvpn];
+  if (slot != kNoSlot) return reinterpret_cast<const std::uint8_t*>(slot_entries(slot));
+  return gtd_[tvpn].valid() ? tpage_image(gtd_[tvpn]).data() : nullptr;
+}
+
 Ppa Dftl::translate(Lba lba) const {
   SWL_REQUIRE(lba < config_.lba_count, "LBA out of range");
-  const Lba tvpn = lba / config_.lbas_per_tpage;
-  const std::uint32_t idx = lba % config_.lbas_per_tpage;
-  const std::uint32_t slot = slot_of_[tvpn];
-  if (slot != kNoSlot) return unpack_entry(slot_entries(slot)[idx]);
-  if (!gtd_[tvpn].valid()) return kInvalidPpa;
-  std::vector<std::uint32_t> entries(config_.lbas_per_tpage);
-  peek_tpage(gtd_[tvpn], entries.data());
-  return unpack_entry(entries[idx]);
+  return unpack_entry(image_entry(effective_image(tvpn_of(lba)), lba % config_.lbas_per_tpage));
+}
+
+void Dftl::translate_tpage(Lba tvpn, std::span<Ppa> out) const {
+  SWL_REQUIRE(tvpn < tpage_count_, "tvpn out of range");
+  SWL_REQUIRE(out.size() >= config_.lbas_per_tpage, "output shorter than a translation page");
+  const std::uint8_t* image = effective_image(tvpn);
+  for (std::uint32_t k = 0; k < config_.lbas_per_tpage; ++k) {
+    out[k] = unpack_entry(image_entry(image, k));
+  }
 }
 
 bool Dftl::is_resident(Lba tvpn) const {
@@ -1030,18 +988,27 @@ void Dftl::check_invariants() const {
   SWL_ASSERT(lru_tail_ == prev, "LRU tail mismatch");
   SWL_ASSERT(walked == resident_count_, "resident count mismatch");
   SWL_ASSERT(walked + free_slots_.size() == config_.cmt_capacity, "CMT slots leaked");
+  // Translation pages are programmed straight from these buffers: the words
+  // past lbas_per_tpage are the page's zero padding.
+  const auto zero_tail = [&](const std::uint32_t* words) {
+    return std::all_of(words + config_.lbas_per_tpage, words + tpage_stride_,
+                       [](std::uint32_t w) { return w == 0; });
+  };
+  for (std::uint32_t slot = 0; slot < config_.cmt_capacity; ++slot) {
+    SWL_ASSERT(zero_tail(slot_entries(slot)), "CMT slot padding is not zero");
+  }
+  SWL_ASSERT(zero_tail(rmw_entries_.data()), "read-modify-write scratch padding is not zero");
 
   // Effective mapping (CMT where resident, flash elsewhere): every mapped
   // entry points at a valid data-role page whose spare LBA matches; the
   // total equals the chip's valid data pages, which also rules out
   // duplicates. Resident clean pages must match their flash version.
-  std::vector<std::uint32_t> flash_entries(config_.lbas_per_tpage);
   std::uint64_t mapped = 0;
   std::uint64_t gtd_valid = 0;
   for (Lba tvpn = 0; tvpn < tpage_count_; ++tvpn) {
     const std::uint32_t slot = slot_of_[tvpn];
     const Ppa tpage = gtd_[tvpn];
-    bool have_flash = false;
+    const std::uint8_t* flash = nullptr;
     if (tpage.valid()) {
       ++gtd_valid;
       SWL_ASSERT(chip().page_state(tpage) == PageState::valid,
@@ -1049,26 +1016,21 @@ void Dftl::check_invariants() const {
       SWL_ASSERT(chip().spare(tpage).role == nand::PageRole::translation,
                  "GTD points at a non-translation page");
       SWL_ASSERT(chip().spare(tpage).lba == tvpn, "GTD and spare area disagree");
-      peek_tpage(tpage, flash_entries.data());
-      have_flash = true;
+      flash = tpage_image(tpage).data();
     }
-    const std::uint32_t* effective = nullptr;
+    const std::uint8_t* effective = flash;
     if (slot != kNoSlot) {
-      effective = slot_entries(slot);
-      if (slot_dirty_[slot] == 0) {
-        // A clean resident page is a cache of its flash version.
-        for (std::uint32_t k = 0; k < config_.lbas_per_tpage; ++k) {
-          const std::uint32_t on_flash = have_flash ? flash_entries[k] : kUnmappedEntry;
-          SWL_ASSERT(effective[k] == on_flash, "clean CMT page diverges from flash");
-        }
+      effective = reinterpret_cast<const std::uint8_t*>(slot_entries(slot));
+      // A clean resident page is a cache of its flash version.
+      for (std::uint32_t k = 0; k < config_.lbas_per_tpage && slot_dirty_[slot] == 0; ++k) {
+        SWL_ASSERT(image_entry(effective, k) == image_entry(flash, k),
+                   "clean CMT page diverges from flash");
       }
-    } else if (have_flash) {
-      effective = flash_entries.data();
     }
     if (effective == nullptr) continue;
     for (std::uint32_t k = 0; k < config_.lbas_per_tpage; ++k) {
       const Lba lba = tvpn * config_.lbas_per_tpage + k;
-      const Ppa p = unpack_entry(effective[k]);
+      const Ppa p = unpack_entry(image_entry(effective, k));
       if (lba >= config_.lba_count) {
         SWL_ASSERT(!p.valid(), "map entry beyond lba_count");
         continue;

@@ -160,9 +160,12 @@ class Dftl final : public tl::TranslationLayer {
   // -- introspection (tests, oracles, experiments) --------------------------
 
   /// Effective physical address of `lba`: the CMT entry when its translation
-  /// page is resident, the flash translation page otherwise (decoded via a
-  /// real chip read). kInvalidPpa when unmapped.
+  /// page is resident, the flash translation page otherwise (a real chip
+  /// read; allocates nothing). kInvalidPpa when unmapped.
   [[nodiscard]] Ppa translate(Lba lba) const;
+  /// translate() of every LBA tvpn maps, with at most one chip read: out[k]
+  /// for LBA tvpn * lbas_per_tpage() + k. Requires out.size() >= that count.
+  void translate_tpage(Lba tvpn, std::span<Ppa> out) const;
 
   /// Number of translation virtual pages.
   [[nodiscard]] Lba tpage_count() const noexcept { return tpage_count_; }
@@ -190,6 +193,9 @@ class Dftl final : public tl::TranslationLayer {
   [[nodiscard]] const DftlConfig& config() const noexcept { return config_; }
   [[nodiscard]] const DftlStats& stats() const noexcept { return stats_; }
 
+  /// Packed map entry of an unmapped LBA (on flash and in the CMT).
+  static constexpr std::uint32_t kUnmappedEntry = 0xFFFFFFFFu;
+
   /// Attaches (or detaches, with nullptr) the mapping-trace observer.
   void set_trace_sink(DftlTraceSink* sink) noexcept { sink_ = sink; }
 
@@ -203,11 +209,10 @@ class Dftl final : public tl::TranslationLayer {
   void do_collect_blocks(BlockIndex first, BlockIndex count) override;
 
  private:
-  struct MountTag {};
-  Dftl(nand::NandChip& chip, DftlConfig config, MountTag);
+  /// Formats (mount = false) or mounts an existing image (see mount()).
+  Dftl(nand::NandChip& chip, DftlConfig config, bool mount);
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kUnmappedEntry = 0xFFFFFFFFu;
 
   /// Shared constructor body (config normalization and validation).
   void init_config();
@@ -227,17 +232,18 @@ class Dftl final : public tl::TranslationLayer {
   }
 
   [[nodiscard]] std::uint32_t* slot_entries(std::uint32_t slot) noexcept {
-    return cmt_arena_.data() + static_cast<std::size_t>(slot) * config_.lbas_per_tpage;
+    return cmt_arena_.data() + static_cast<std::size_t>(slot) * tpage_stride_;
   }
   [[nodiscard]] const std::uint32_t* slot_entries(std::uint32_t slot) const noexcept {
-    return cmt_arena_.data() + static_cast<std::size_t>(slot) * config_.lbas_per_tpage;
+    return cmt_arena_.data() + static_cast<std::size_t>(slot) * tpage_stride_;
   }
 
-  /// Serializes `entries` (lbas_per_tpage packed entries) into tpage_buf_.
-  void encode_tpage(const std::uint32_t* entries);
-  /// Decodes a flash translation page into `entries` without touching the
-  /// map-read counter (introspection / invariant checking).
-  void peek_tpage(Ppa src, std::uint32_t* entries) const;
+  /// Bytes of a flash translation page (a zero-copy view into the chip),
+  /// read without touching the map-read counter.
+  [[nodiscard]] std::span<const std::uint8_t> tpage_image(Ppa src) const;
+  /// Current bytes of tvpn's translation page: the CMT slot when resident,
+  /// else its flash version; nullptr when never written.
+  [[nodiscard]] const std::uint8_t* effective_image(Lba tvpn) const;
   /// Decodes a flash translation page into `entries`; a real chip read
   /// (counted as map_read).
   void decode_tpage(Ppa src, std::uint32_t* entries);
@@ -264,13 +270,21 @@ class Dftl final : public tl::TranslationLayer {
 
   /// Programs `entries` as tvpn's translation page (GTD update + old-version
   /// invalidation); the write path shared by write-backs, GC updates and
-  /// mount recovery. Returns kInvalidPpa when no destination was available.
+  /// mount recovery. The page is programmed straight from `entries`, which
+  /// must span tpage_stride_ words with a zero tail. Returns kInvalidPpa
+  /// when no destination was available.
   Ppa try_program_tpage(Lba tvpn, const std::uint32_t* entries, TpageWrite cause);
 
   // -- write/read paths -----------------------------------------------------
   Status write_internal(Lba lba, std::uint64_t payload_token,
                         std::span<const std::uint8_t> data);
   Status read_impl(Lba lba, std::uint64_t* payload_token);
+  /// Points lba's entry in its resident `slot` at `dst`, invalidating the
+  /// superseded page; the tail shared by both host write paths.
+  void remap_host_write(std::uint32_t slot, Lba lba, Ppa dst);
+  /// Physical address a host read of `lba` resolves (kInvalidPpa when
+  /// unmapped); the CMT lookup shared by read() and read_bytes().
+  Ppa map_for_read(Lba lba);
 
   /// Record-replay fast paths: the fast write handles the common case (fast
   /// media, pool above trigger, frontier open, translation page resident)
@@ -305,6 +319,12 @@ class Dftl final : public tl::TranslationLayer {
     }
   }
 
+  /// True when the next translation-page program must open a new block.
+  [[nodiscard]] bool trans_frontier_full() const noexcept {
+    return trans_frontier_ == kInvalidBlock ||
+           trans_next_page_ >= chip().geometry().pages_per_block;
+  }
+
   /// True when `b` currently serves as any write frontier.
   [[nodiscard]] bool is_frontier(BlockIndex b) const noexcept {
     return b == host_frontier_ || b == gc_frontier_ || b == trans_frontier_;
@@ -321,7 +341,12 @@ class Dftl final : public tl::TranslationLayer {
   // GTD: flash location of each translation page's current version.
   std::vector<Ppa> gtd_;
 
-  // CMT: a flat arena of capacity × lbas_per_tpage packed entries plus
+  // Words per translation-page buffer (CMT slot, rmw_entries_, mount's
+  // expected page): one flash page, so its bytes are the page image. Words
+  // past lbas_per_tpage are never written and stay zero.
+  std::size_t tpage_stride_ = 0;
+
+  // CMT: a flat arena of capacity × tpage_stride_ packed entries plus
   // per-slot metadata and an exact-LRU doubly linked list (index-based, so
   // residency churn allocates nothing).
   std::vector<std::uint32_t> cmt_arena_;
@@ -356,10 +381,21 @@ class Dftl final : public tl::TranslationLayer {
   std::uint64_t write_sequence_ = 0;
   BlockIndex gc_trigger_cached_ = 4;
 
-  // Scratch for encode_tpage / decode-at-mount (one page).
-  std::vector<std::uint8_t> tpage_buf_;
-  // Scratch entries for direct GC read-modify-writes.
+  // Scratch entries for direct GC read-modify-writes (tpage_stride_ words).
   std::vector<std::uint32_t> rmw_entries_;
+  // Data-GC scratch, reserved for a whole block so no victim allocates: the
+  // victim's live pages grouped by translation page, and one group's copies.
+  struct LivePage {
+    Lba tvpn;
+    PageIndex page;
+  };
+  struct MovedPage {
+    Ppa src;
+    Ppa dst;
+    Lba lba;
+  };
+  std::vector<LivePage> gc_live_;
+  std::vector<MovedPage> gc_moved_;
 
   DftlStats stats_;
   DftlTraceSink* sink_ = nullptr;

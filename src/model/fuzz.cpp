@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -334,10 +335,8 @@ class Runner {
   std::string crash_burst(const FuzzStep& step) {
     Rng rng(step.a);
     const Lba lbas = a_.layer->lba_count();
-    fault::CrashInjector inj_a(step.c);
-    fault::CrashInjector inj_b(step.c);
-    a_.chip->set_power_loss_hook(&inj_a);
-    b_.chip->set_power_loss_hook(&inj_b);
+    a_.chip->set_power_loss_hook(&burst_inj_a_.emplace(step.c));
+    b_.chip->set_power_loss_hook(&burst_inj_b_.emplace(step.c));
     bool crashed = false;
     std::string msg;
     for (std::uint64_t i = 0; i < step.b && msg.empty() && !crashed; ++i) {
@@ -517,6 +516,10 @@ class Runner {
   Stack a_;
   Stack b_;
   std::uint64_t next_token_ = 1;  // 0 is the reference store's "never written"
+  // The crash injectors of the current burst (attached only during it). They
+  // outlive the burst, so a chip never holds the address of a dead injector.
+  std::optional<fault::CrashInjector> burst_inj_a_;
+  std::optional<fault::CrashInjector> burst_inj_b_;
 };
 
 }  // namespace

@@ -217,8 +217,12 @@ std::string check_mapping(const dftl::Dftl& dftl) {
   const auto& geo = chip.geometry();
   std::vector<std::uint8_t> referenced(geo.page_count(), 0);
   std::uint64_t mapped = 0;
+  // One decode per translation page, into a buffer reused across pages.
+  std::vector<Ppa> entries(dftl.lbas_per_tpage());
   for (Lba lba = 0; lba < dftl.lba_count(); ++lba) {
-    const Ppa ppa = dftl.translate(lba);
+    const std::uint32_t k = lba % dftl.lbas_per_tpage();
+    if (k == 0) dftl.translate_tpage(dftl.tvpn_of(lba), entries);
+    const Ppa ppa = entries[k];
     if (!ppa.valid()) continue;
     ++mapped;
     std::ostringstream os;

@@ -4,7 +4,10 @@
 //   - an all-dirty eviction storm exercising write-back batching exactly;
 //   - re-referencing a page the batch just flushed (resident-clean hit, then
 //     re-dirtying without a fetch);
-//   - mount-after-dirty-CMT (acknowledged writes survive a discarded cache);
+//   - mount-after-dirty-CMT (acknowledged writes survive a discarded cache),
+//     with padded and full-page translation pages;
+//   - the on-flash translation-page format, byte for byte, through every
+//     program path (mount recovery, CMT write-back, translation-block GC);
 //   - the FTL-equivalence canary: with an effectively infinite CMT the DFTL
 //     must read back bit-identically to the in-RAM FTL on the same trace,
 //     pinned by a serial content fingerprint constant.
@@ -12,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -22,10 +26,11 @@
 namespace swl::dftl {
 namespace {
 
-std::unique_ptr<nand::NandChip> make_chip(BlockIndex blocks = 16, PageIndex pages = 8) {
+std::unique_ptr<nand::NandChip> make_chip(BlockIndex blocks = 16, PageIndex pages = 8,
+                                          std::uint32_t page_size_bytes = 512) {
   nand::NandConfig cc;
   cc.geometry = FlashGeometry{.block_count = blocks, .pages_per_block = pages,
-                              .page_size_bytes = 512};
+                              .page_size_bytes = page_size_bytes};
   cc.timing = default_timing(CellType::slc_small_block);
   cc.store_payload_bytes = true;  // translation pages are byte payloads
   return std::make_unique<nand::NandChip>(cc);
@@ -184,15 +189,37 @@ TEST(Dftl, TranslateAgreesWithCmtAndFlash) {
   EXPECT_NO_THROW(dftl.check_invariants());
 }
 
-TEST(Dftl, MountAfterDirtyCmtKeepsEveryAcknowledgedWrite) {
+TEST(Dftl, TranslateTpageAgreesWithTranslate) {
   auto chip = make_chip();
+  Dftl dftl(*chip, small_config());
+  Rng rng(9);
+  for (std::uint64_t token = 1; token <= 200; ++token) {
+    ASSERT_EQ(dftl.write(static_cast<Lba>(rng.below(dftl.lba_count())), token), Status::ok);
+  }
+  // Resident and flash-only pages decode alike.
+  std::vector<Ppa> out(dftl.lbas_per_tpage());
+  for (Lba tvpn = 0; tvpn < dftl.tpage_count(); ++tvpn) {
+    dftl.translate_tpage(tvpn, out);
+    for (std::uint32_t k = 0; k < dftl.lbas_per_tpage(); ++k) {
+      EXPECT_EQ(out[k], dftl.translate(tvpn * dftl.lbas_per_tpage() + k))
+          << "tvpn " << tvpn << " entry " << k;
+    }
+  }
+  std::vector<Ppa> too_short(dftl.lbas_per_tpage() - 1);
+  EXPECT_THROW(dftl.translate_tpage(0, too_short), PreconditionError);
+}
+
+// Writes a random workload, drops the layer with dirty CMT pages (no
+// shutdown flush), mounts the image and checks every acknowledged write.
+void expect_mount_keeps_acknowledged_writes(nand::NandChip& chip, const DftlConfig& cfg,
+                                            int writes) {
   std::vector<std::uint64_t> shadow;
   {
-    Dftl dftl(*chip, small_config());
+    Dftl dftl(chip, cfg);
     shadow.assign(dftl.lba_count(), 0);
     Rng rng(11);
     std::uint64_t token = 1;
-    for (int i = 0; i < 250; ++i) {
+    for (int i = 0; i < writes; ++i) {
       const Lba lba = static_cast<Lba>(rng.below(dftl.lba_count()));
       ASSERT_EQ(dftl.write(lba, token), Status::ok);
       shadow[lba] = token++;
@@ -206,10 +233,11 @@ TEST(Dftl, MountAfterDirtyCmtKeepsEveryAcknowledgedWrite) {
     ASSERT_TRUE(any_dirty) << "workload left the CMT fully clean; test is vacuous";
   }  // layer destroyed without any shutdown flush — the dirty CMT is lost
 
-  chip->forget_logical_state();
-  auto mounted = Dftl::mount(*chip, small_config());
+  chip.forget_logical_state();
+  auto mounted = Dftl::mount(chip, cfg);
   ASSERT_NE(mounted, nullptr);
   EXPECT_EQ(mounted->resident_count(), 0u);  // the CMT starts empty
+  EXPECT_GT(mounted->stats().recovery_writes, 0u);
   EXPECT_NO_THROW(mounted->check_invariants());
   for (Lba lba = 0; lba < mounted->lba_count(); ++lba) {
     std::uint64_t t = 0;
@@ -221,6 +249,109 @@ TEST(Dftl, MountAfterDirtyCmtKeepsEveryAcknowledgedWrite) {
       EXPECT_EQ(t, shadow[lba]) << "lba " << lba;
     }
   }
+  EXPECT_NO_THROW(mounted->check_invariants());
+}
+
+TEST(Dftl, MountAfterDirtyCmtKeepsEveryAcknowledgedWrite) {
+  auto chip = make_chip();
+  expect_mount_keeps_acknowledged_writes(*chip, small_config(), 250);
+}
+
+TEST(Dftl, MountWithFullPageTranslationPagesKeepsEveryAcknowledgedWrite) {
+  // Default lbas_per_tpage: the entries fill the whole page, so every
+  // translation page is programmed straight from a CMT slot or the mount's
+  // expected page with no padding at all.
+  auto chip = make_chip(64, 16, 512);
+  DftlConfig cfg;
+  cfg.lba_count = 512;
+  cfg.cmt_capacity = 2;
+  {
+    const Dftl probe(*chip, cfg);
+    ASSERT_EQ(probe.lbas_per_tpage(), 128u);
+    ASSERT_EQ(probe.tpage_count(), 4u);
+  }
+  expect_mount_keeps_acknowledged_writes(*chip, cfg, 2000);
+}
+
+// Little-endian u32 image of `entries`, zero-padded to a page.
+std::vector<std::uint8_t> tpage_image_of(const std::vector<std::uint32_t>& entries,
+                                         std::uint32_t page_size_bytes) {
+  std::vector<std::uint8_t> image(page_size_bytes, 0);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      image[4 * i + b] = static_cast<std::uint8_t>(entries[i] >> (8 * b));
+    }
+  }
+  return image;
+}
+
+std::vector<std::uint8_t> raw_tpage(const Dftl& dftl, Lba tvpn) {
+  const nand::PageReadResult r = dftl.chip().read_page(dftl.tpage_location(tvpn));
+  EXPECT_EQ(r.status, Status::ok);
+  return {r.data.begin(), r.data.end()};
+}
+
+void expect_on_flash_format(std::uint32_t lbas_per_tpage) {
+  // 1040 blocks x 64 pages: packed entry block * 64 + page reaches 0x010203
+  // (bytes 03 02 01 00 on flash) and the max PPA 0x0103FF. A byte-order
+  // probe with four distinct non-zero bytes would need a 17 M-page chip.
+  constexpr PageIndex kPages = 64;
+  constexpr BlockIndex kBlocks = 1040;
+  constexpr std::uint32_t kPageSize = 512;
+  auto chip = make_chip(kBlocks, kPages, kPageSize);
+  // Craft the data pages of LBAs 0..3 at chosen addresses; mount writes the
+  // translation page that maps them (a recovery program).
+  const Ppa at[] = {{0, 0}, {0, 1}, {0x010203 / kPages, 0x010203 % kPages},
+                    {kBlocks - 1, kPages - 1}};
+  for (Lba lba = 0; lba < 4; ++lba) {
+    ASSERT_EQ(chip->program_page(at[lba], 1000 + lba, nand::SpareArea{lba, lba + 1, 0}),
+              Status::ok);
+  }
+  DftlConfig cfg;
+  cfg.lba_count = 256;
+  cfg.lbas_per_tpage = lbas_per_tpage;
+  cfg.cmt_capacity = 1;
+  auto dftl = Dftl::mount(*chip, cfg);
+  const std::uint32_t n = dftl->lbas_per_tpage();
+  std::vector<std::uint32_t> entries(n, Dftl::kUnmappedEntry);
+  entries[0] = 0;
+  entries[1] = 1;
+  entries[2] = 0x010203;
+  entries[3] = kBlocks * kPages - 1;  // the max PPA
+  const std::vector<std::uint8_t> recovered = raw_tpage(*dftl, 0);
+  EXPECT_EQ(recovered, tpage_image_of(entries, kPageSize)) << "mount recovery";
+  // The same bytes spelled out: entries 2, 3 and 4 at offsets 8..19.
+  const std::vector<std::uint8_t> spelled = {0x03, 0x02, 0x01, 0x00, 0xFF, 0x03,
+                                             0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(std::vector<std::uint8_t>(recovered.begin() + 8, recovered.begin() + 20), spelled);
+
+  // CMT write-back: fetch tvpn 0, map LBA 4, then evict it from the
+  // one-slot CMT by touching tvpn 1.
+  std::uint64_t t = 0;
+  ASSERT_EQ(dftl->read(2, &t), Status::ok);
+  EXPECT_EQ(t, 1002u);
+  ASSERT_EQ(dftl->write(4, 2000), Status::ok);
+  ASSERT_EQ(dftl->write(n, 2001), Status::ok);
+  ASSERT_FALSE(dftl->is_resident(0));
+  const Ppa p4 = dftl->translate(4);
+  entries[4] = p4.block * kPages + p4.page;
+  const std::vector<std::uint8_t> image = tpage_image_of(entries, kPageSize);
+  EXPECT_EQ(raw_tpage(*dftl, 0), image) << "CMT write-back";
+
+  // Translation-block GC relocates the non-resident page from scratch.
+  const Ppa before = dftl->tpage_location(0);
+  dftl->collect_blocks(before.block, 1);
+  ASSERT_NE(dftl->tpage_location(0), before);
+  EXPECT_EQ(raw_tpage(*dftl, 0), image) << "translation-block GC";
+  EXPECT_NO_THROW(dftl->check_invariants());
+}
+
+TEST(Dftl, OnFlashTranslationPageFormatIsLittleEndianWithZeroPadding) {
+  expect_on_flash_format(8);  // padded: 8 entries, 480 zero bytes
+}
+
+TEST(Dftl, OnFlashTranslationPageFormatFillsTheFullPage) {
+  expect_on_flash_format(0);  // default: 128 entries fill the 512-byte page
 }
 
 TEST(Dftl, InfeasibleConfigIsRejected) {

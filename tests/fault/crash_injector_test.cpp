@@ -106,7 +106,7 @@ TEST(CrashInjector, TornSnapshotWriteCommitsAnInvalidPrefix) {
   ASSERT_EQ(inner.write_slot(0, {9, 9, 9}), Status::ok);  // previous content
   CrashSnapshotStore store(inner, injector);
 
-  const auto bytes = wear::encode_snapshot(wear::Snapshot{.block_count = 8}, 1);
+  const auto bytes = wear::encode_snapshot(wear::Snapshot{.block_count = 8, .bet_words = {}}, 1);
   EXPECT_THROW((void)store.write_slot(0, bytes), nand::PowerLossError);
   EXPECT_EQ(injector.fired_op(), nand::CrashOp::snapshot_write);
   // The slot holds a truncated prefix that can never pass the checksum.

@@ -153,7 +153,7 @@ TEST(FatFs, FillsUpGracefully) {
   const auto cluster = pattern(f.fs->cluster_bytes(), 3);
   int created = 0;
   for (int i = 0; i < 10'000; ++i) {
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = std::string("f").append(std::to_string(i));
     const Status st = f.fs->write_file(name, cluster);
     if (st != Status::ok) {
       EXPECT_EQ(st, Status::fs_full);
@@ -228,7 +228,7 @@ TEST(FatFs, MetadataRegionIsTheHotSpot) {
   Fixture f;
   Rng rng(31);
   for (int i = 0; i < 400; ++i) {
-    const std::string name = "f" + std::to_string(rng.below(6));
+    const std::string name = std::string("f").append(std::to_string(rng.below(6)));
     ASSERT_EQ(f.fs->write_file(name, pattern(600, static_cast<std::uint64_t>(i))), Status::ok);
   }
   const auto& c = f.fs->counters();
@@ -296,7 +296,7 @@ TEST(FatFs, WorksOverNftlWithSwl) {
   std::map<std::string, std::vector<std::uint8_t>> shadow;
   Rng rng(41);
   for (int i = 0; i < 300; ++i) {
-    const std::string name = "n" + std::to_string(rng.below(10));
+    const std::string name = std::string("n").append(std::to_string(rng.below(10)));
     const auto content = pattern(rng.below(4'000), 7'000 + static_cast<std::uint64_t>(i));
     ASSERT_EQ(fs->write_file(name, content), Status::ok);
     shadow[name] = content;

@@ -96,7 +96,9 @@ TEST(HostCanary, SerialConfigIsBitIdenticalToDirectDeviceCalls) {
     const Status sa = sdev.read_sector(s, &a);
     const Status sb = serial.dev->read_sector(s, &b);
     ASSERT_EQ(sa, sb) << "sector " << s;
-    if (sa == Status::ok) ASSERT_EQ(a, b) << "sector " << s;
+    if (sa == Status::ok) {
+      ASSERT_EQ(a, b) << "sector " << s;
+    }
   }
   // Device counters (the read_sector comparison loop above ran on both
   // devices equally, so it cancels out).

@@ -143,8 +143,8 @@ std::string param_name(const ::testing::TestParamInfo<Param>& info) {
   const double threshold = std::get<2>(info.param);
   const auto selection = std::get<3>(info.param);
   std::string name = kind == Layer::ftl ? "Ftl" : "Nftl";
-  name += "K" + std::to_string(k);
-  name += "T" + std::to_string(static_cast<int>(threshold));
+  name.append("K").append(std::to_string(k));
+  name.append("T").append(std::to_string(static_cast<int>(threshold)));
   name += selection == wear::LevelerConfig::Selection::cyclic_scan ? "Cyclic" : "Random";
   return name;
 }

@@ -280,7 +280,9 @@ void expect_batches_match_serial(TraceSource& serial, TraceSource& batched, std:
     if (got < want) break;  // source ended mid-batch
   }
   // When the batched side ended before the cap, the serial side must end too.
-  if (seen < limit) EXPECT_FALSE(serial.next().has_value()) << "batch size " << n;
+  if (seen < limit) {
+    EXPECT_FALSE(serial.next().has_value()) << "batch size " << n;
+  }
 }
 
 constexpr std::size_t kBatchSizes[] = {1, 7, 4096};
