@@ -34,12 +34,10 @@ Dftl::Dftl(nand::NandChip& chip, DftlConfig config, bool mount)
     : tl::TranslationLayer(chip),
       config_(config),
       pool_(chip.geometry().block_count, config.alloc_policy),
-      dscanner_(chip.geometry().block_count),
-      tscanner_(chip.geometry().block_count),
-      dindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight),
-      tindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight) {
+      data_victims_(chip.geometry().block_count, chip.geometry().pages_per_block,
+                    config.gc_cost_weight, config.reference_victim_scan),
+      trans_victims_(chip.geometry().block_count, chip.geometry().pages_per_block,
+                     config.gc_cost_weight, config.reference_victim_scan) {
   init_config();
   if (mount) {
     rebuild_from_flash();
@@ -112,15 +110,9 @@ void Dftl::init_config() {
   rmw_entries_.assign(tpage_stride_, 0);
   gc_live_.reserve(geo.pages_per_block);
   gc_moved_.reserve(geo.pages_per_block);
-  gc_trigger_cached_ = gc_trigger_level();
-  use_victim_index_ = !config_.reference_victim_scan;
+  gc_trigger_ = tl::gc_trigger_level(config_.gc_trigger_fraction, config_.min_free_blocks,
+                                     geo.block_count);
   set_fast_paths(&Dftl::fast_write_thunk, &Dftl::fast_read_thunk);
-}
-
-BlockIndex Dftl::gc_trigger_level() const noexcept {
-  const auto frac = static_cast<BlockIndex>(config_.gc_trigger_fraction *
-                                            static_cast<double>(chip().geometry().block_count));
-  return std::max(config_.min_free_blocks, frac);
 }
 
 // -- packed translation-page codec -------------------------------------------
@@ -168,19 +160,17 @@ void Dftl::lru_touch(std::uint32_t slot) {
 Ppa Dftl::try_program_tpage(Lba tvpn, const std::uint32_t* entries, TpageWrite cause) {
   const std::span<const std::uint8_t> image{reinterpret_cast<const std::uint8_t*>(entries),
                                             chip().geometry().page_size_bytes};
-  Ppa dst;
-  while (true) {
-    if (trans_frontier_full() && pool_.empty()) return kInvalidPpa;
-    dst = take_frontier_page(trans_frontier_, trans_next_page_, BlockClass::translation);
+  const Ppa dst = trans_.program_next(pool_, chip(), /*keep_free=*/0, [&](Ppa to) {
+    class_of_[to.block] = BlockClass::translation;
     // spare.lba carries the translation virtual page number; the token
     // mirrors it so the simulated ECC covers something stable.
     const Status st = chip().program_page(
-        dst, tvpn, nand::SpareArea{tvpn, ++write_sequence_, 0, nand::PageRole::translation},
+        to, tvpn, nand::SpareArea{tvpn, ++write_sequence_, 0, nand::PageRole::translation},
         image);
-    sync_victim(dst.block);
-    if (st == Status::ok) break;
-    SWL_ASSERT(st == Status::program_failed, "translation frontier page was not programmable");
-  }
+    sync_victim(to.block);
+    return st;
+  });
+  if (!dst.valid()) return kInvalidPpa;
   const Ppa old = gtd_[tvpn];
   if (old.valid()) {
     const Status inv = chip().invalidate_page(old);
@@ -269,20 +259,6 @@ std::uint32_t Dftl::ensure_resident(Lba tvpn) {
   return slot;
 }
 
-// -- frontiers / space -------------------------------------------------------
-
-Ppa Dftl::take_frontier_page(BlockIndex& frontier, PageIndex& next_page, BlockClass cls) {
-  const PageIndex pages = chip().geometry().pages_per_block;
-  if (frontier == kInvalidBlock || next_page >= pages) {
-    SWL_ASSERT(!pool_.empty(), "free-block pool exhausted");
-    frontier = pool_.take();
-    next_page = 0;
-    SWL_ASSERT(chip().free_page_count(frontier) == pages, "pooled block was not empty");
-    class_of_[frontier] = cls;
-  }
-  return Ppa{frontier, next_page++};
-}
-
 // -- host paths ---------------------------------------------------------------
 
 Status Dftl::write(Lba lba, std::uint64_t payload_token) {
@@ -303,20 +279,16 @@ Status Dftl::write_internal(Lba lba, std::uint64_t payload_token,
   if (slot_of_[tvpn] == kNoSlot && cannot_afford_writeback()) return Status::out_of_space;
   const std::uint32_t slot = ensure_resident(tvpn);
   if (slot == kNoSlot) return Status::out_of_space;  // eviction write-back had no space
-  Ppa dst;
-  while (true) {
-    // Same reserve rule as the FTL: a host write may only open a new frontier
-    // block when at least one other free block remains for GC.
-    const bool need_new_block =
-        host_frontier_ == kInvalidBlock || host_next_page_ >= chip().geometry().pages_per_block;
-    if (need_new_block && pool_.size() < 2) return Status::out_of_space;
-    dst = take_frontier_page(host_frontier_, host_next_page_, BlockClass::data);
-    const Status st = chip().program_page(
-        dst, payload_token, nand::SpareArea{lba, ++write_sequence_, 0}, data);
-    sync_victim(dst.block);  // a failed program consumes the page either way
-    if (st == Status::ok) break;
-    SWL_ASSERT(st == Status::program_failed, "frontier page was not programmable");
-  }
+  // Same reserve rule as the FTL: a host write may only open a new frontier
+  // block when at least one other free block remains for GC.
+  const Ppa dst = host_.program_next(pool_, chip(), /*keep_free=*/1, [&](Ppa to) {
+    class_of_[to.block] = BlockClass::data;
+    const Status st =
+        chip().program_page(to, payload_token, nand::SpareArea{lba, ++write_sequence_, 0}, data);
+    sync_victim(to.block);  // a failed program consumes the page either way
+    return st;
+  });
+  if (!dst.valid()) return Status::out_of_space;
   remap_host_write(slot, lba, dst);
   return Status::ok;
 }
@@ -340,7 +312,7 @@ Ppa Dftl::map_for_read(Lba lba) {
   // A cache miss may have to write back a dirty translation page, so reads
   // maintain the free-block level too (unlike the in-RAM FTL, a DFTL read is
   // not write-free).
-  if (pool_.size() < gc_trigger_cached_) maybe_gc();
+  if (pool_.size() < gc_trigger_) maybe_gc();
   const Lba tvpn = tvpn_of(lba);
   const std::uint32_t idx = lba % config_.lbas_per_tpage;
   if (slot_of_[tvpn] != kNoSlot || !cannot_afford_writeback()) {
@@ -396,16 +368,15 @@ bool Dftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t p
   // fetch), the host frontier open and the pool above the GC trigger, so it
   // is write_internal's resident case without the checks.
   if (lba >= self.config_.lba_count || !chip.fast_media()) return false;
-  if (self.pool_.size() < self.gc_trigger_cached_) return false;
-  const PageIndex pages = chip.geometry().pages_per_block;
-  if (self.host_frontier_ == kInvalidBlock || self.host_next_page_ >= pages) return false;
+  if (self.pool_.size() < self.gc_trigger_) return false;
+  if (self.host_.full(chip.geometry().pages_per_block)) return false;
   const Lba tvpn = self.tvpn_of(lba);
   const std::uint32_t slot = self.slot_of_[tvpn];
   if (slot == kNoSlot) return false;
   // Committed.
   ++self.stats_.cmt_hits;
   self.lru_touch(slot);
-  const Ppa dst{self.host_frontier_, self.host_next_page_++};
+  const Ppa dst{self.host_.block, self.host_.next++};
   const Status st =
       chip.program_page(dst, payload_token, nand::SpareArea{lba, ++self.write_sequence_, 0});
   SWL_ASSERT(st == Status::ok, "fast-path frontier page was not programmable");
@@ -418,84 +389,12 @@ bool Dftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t p
 
 void Dftl::maybe_gc() {
   const PageIndex pages = chip().geometry().pages_per_block;
-  const auto close_if_full = [pages](BlockIndex& frontier, PageIndex next_page) {
-    if (next_page >= pages) frontier = kInvalidBlock;
-  };
-  close_if_full(host_frontier_, host_next_page_);
-  close_if_full(gc_frontier_, gc_next_page_);
-  close_if_full(trans_frontier_, trans_next_page_);
-  while (pool_.size() < gc_trigger_cached_) {
+  host_.seal_if_full(pages);
+  gc_.seal_if_full(pages);
+  trans_.seal_if_full(pages);
+  while (pool_.size() < gc_trigger_) {
     if (!gc_once()) break;
   }
-}
-
-BlockIndex Dftl::select_positive_victim(BlockClass cls) {
-  const auto& geo = chip().geometry();
-  tl::CyclicVictimScanner& scanner = (cls == BlockClass::data) ? dscanner_ : tscanner_;
-  if (use_victim_index_) {
-    tl::VictimIndex& index = (cls == BlockClass::data) ? dindex_ : tindex_;
-    index.flush(chip());
-    if (!index.any_positive()) return kInvalidBlock;
-    BlockIndex victim = kInvalidBlock;
-    std::size_t start = scanner.cursor();
-    BlockIndex first = kInvalidBlock;
-    while (true) {
-      const auto b = static_cast<BlockIndex>(index.next_positive(start));
-      if (first == kInvalidBlock) {
-        first = b;
-      } else if (b == first) {
-        break;  // full wrap: every positive block of this class is a frontier
-      }
-      if (!is_frontier(b)) {
-        victim = b;
-        break;
-      }
-      start = (b + 1 == geo.block_count) ? 0 : b + 1;
-    }
-    if (victim != kInvalidBlock) scanner.advance_past(victim);
-    return victim;
-  }
-  return scanner.next([&](BlockIndex b) {
-    if (is_frontier(b) || class_of_[b] != cls) return false;
-    if (pool_.contains(b) || chip().is_retired(b)) return false;
-    return tl::gc_score(chip().valid_page_count(b), chip().invalid_page_count(b),
-                        config_.gc_cost_weight) > 0.0;
-  });
-}
-
-BlockIndex Dftl::select_fallback_victim() const {
-  // Most invalid pages, ties to the least-worn, then the lowest index; both
-  // classes compete and frontiers are eligible (superseded copies pile up
-  // there, and excluding them could wedge the device).
-  if (use_victim_index_) {
-    const BlockIndex d = dindex_.most_invalid(chip());
-    const BlockIndex t = tindex_.most_invalid(chip());
-    if (d == kInvalidBlock) return t;
-    if (t == kInvalidBlock) return d;
-    const PageIndex di = chip().invalid_page_count(d);
-    const PageIndex ti = chip().invalid_page_count(t);
-    if (di != ti) return di > ti ? d : t;
-    const std::uint32_t de = chip().erase_count(d);
-    const std::uint32_t te = chip().erase_count(t);
-    if (de != te) return de < te ? d : t;
-    return std::min(d, t);
-  }
-  const auto& geo = chip().geometry();
-  BlockIndex victim = kInvalidBlock;
-  PageIndex best_invalid = 0;
-  std::uint32_t best_erases = 0;
-  for (BlockIndex b = 0; b < geo.block_count; ++b) {
-    if (pool_.contains(b) || chip().is_retired(b)) continue;
-    const PageIndex invalid = chip().invalid_page_count(b);
-    if (invalid == 0) continue;
-    if (victim == kInvalidBlock || invalid > best_invalid ||
-        (invalid == best_invalid && chip().erase_count(b) < best_erases)) {
-      victim = b;
-      best_invalid = invalid;
-      best_erases = chip().erase_count(b);
-    }
-  }
-  return victim;
 }
 
 bool Dftl::gc_once() {
@@ -503,8 +402,15 @@ bool Dftl::gc_once() {
   // cyclic scan; when both classes have one, the better greedy score wins
   // (ties to data — the more numerous class). Translation-block GC thereby
   // competes with data GC for the same free blocks SWL levels.
-  const BlockIndex d = select_positive_victim(BlockClass::data);
-  const BlockIndex t = select_positive_victim(BlockClass::translation);
+  const auto in_class = [this](BlockClass cls) {
+    return [this, cls](BlockIndex b) { return class_of_[b] == cls; };
+  };
+  const auto positive = [&](tl::VictimSelector& victims, BlockClass cls) {
+    return victims.first_positive(
+        chip(), [&](BlockIndex b) { return class_of_[b] == cls && !is_frontier(b); });
+  };
+  const BlockIndex d = positive(data_victims_, BlockClass::data);
+  const BlockIndex t = positive(trans_victims_, BlockClass::translation);
   BlockIndex victim = kInvalidBlock;
   if (d != kInvalidBlock && t != kInvalidBlock) {
     const double ds = tl::gc_score(chip().valid_page_count(d), chip().invalid_page_count(d),
@@ -517,10 +423,18 @@ bool Dftl::gc_once() {
   } else if (t != kInvalidBlock) {
     victim = t;
   } else {
-    victim = select_fallback_victim();
+    // Most-invalid fallback across both classes in one order; frontiers are
+    // eligible (superseded copies pile up there, and excluding them could
+    // wedge the device).
+    tl::FallbackPick pick;
+    for (const BlockIndex b : {data_victims_.most_invalid(chip(), in_class(BlockClass::data)),
+                               trans_victims_.most_invalid(
+                                   chip(), in_class(BlockClass::translation))}) {
+      if (b != kInvalidBlock) pick.offer(chip(), b);
+    }
+    victim = pick.block;
   }
-  if (victim == kInvalidBlock) return false;
-  return clean_block(victim);
+  return victim != kInvalidBlock && clean_block(victim);
 }
 
 bool Dftl::clean_block(BlockIndex victim) {
@@ -530,7 +444,7 @@ bool Dftl::clean_block(BlockIndex victim) {
 
 bool Dftl::clean_data_block(BlockIndex victim) {
   const auto& geo = chip().geometry();
-  SWL_ASSERT(victim != trans_frontier_, "data victim is the translation frontier");
+  SWL_ASSERT(victim != trans_.block, "data victim is the translation frontier");
   // Collect the victim's live pages and group them by translation page, so
   // one direct read-modify-write per distinct non-resident translation page
   // covers all its relocated entries (the DFTL batch update).
@@ -555,13 +469,8 @@ bool Dftl::clean_data_block(BlockIndex victim) {
     }
   }
   const std::uint64_t n_copy = live.size();
-  const std::uint64_t gc_space = (gc_frontier_ == kInvalidBlock || victim == gc_frontier_)
-                                     ? 0
-                                     : geo.pages_per_block - gc_next_page_;
-  const std::uint64_t trans_space =
-      (trans_frontier_ == kInvalidBlock || victim == trans_frontier_)
-          ? 0
-          : geo.pages_per_block - trans_next_page_;
+  const std::uint64_t gc_space = gc_.room(geo.pages_per_block, victim);
+  const std::uint64_t trans_space = trans_.room(geo.pages_per_block, victim);
   const std::uint64_t data_blocks_needed =
       n_copy > gc_space ? (n_copy - gc_space + geo.pages_per_block - 1) / geo.pages_per_block
                         : 0;
@@ -569,8 +478,8 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       n_rmw > trans_space ? (n_rmw - trans_space + geo.pages_per_block - 1) / geo.pages_per_block
                           : 0;
   if (data_blocks_needed + trans_blocks_needed > pool_.size()) return false;
-  if (victim == host_frontier_) host_frontier_ = kInvalidBlock;
-  if (victim == gc_frontier_) gc_frontier_ = kInvalidBlock;
+  host_.close_if(victim);
+  gc_.close_if(victim);
 
   // Relocate group by group. Every abort point below leaves the device
   // consistent: a group's source pages stay valid and mapped until its map
@@ -601,7 +510,7 @@ bool Dftl::clean_data_block(BlockIndex victim) {
     std::vector<MovedPage>& moved = gc_moved_;
     moved.clear();
     bool aborted = false;
-    for (std::size_t k = i; k < end && !aborted; ++k) {
+    for (std::size_t k = i; k < end; ++k) {
       const Ppa src{victim, live[k].page};
       const nand::PageReadResult r = chip().read_page(src);
       SWL_ASSERT(r.status == Status::ok, "valid page unreadable during GC");
@@ -613,26 +522,20 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       } else {
         SWL_ASSERT((*mount_truth_)[lba] == src, "valid page not in the mount truth");
       }
-      Ppa dst;
-      while (true) {
-        const bool need_new_block =
-            gc_frontier_ == kInvalidBlock || gc_next_page_ >= geo.pages_per_block;
-        if (need_new_block && pool_.empty()) {
-          aborted = true;  // out of destinations (media-error storms / SWL at pressure)
-          break;
-        }
-        dst = take_frontier_page(gc_frontier_, gc_next_page_, BlockClass::data);
+      const Ppa dst = gc_.program_next(pool_, chip(), /*keep_free=*/0, [&](Ppa to) {
+        class_of_[to.block] = BlockClass::data;
         const Status st = chip().program_page(
-            dst, r.payload_token, nand::SpareArea{lba, ++write_sequence_, 0, r.spare.role},
+            to, r.payload_token, nand::SpareArea{lba, ++write_sequence_, 0, r.spare.role},
             r.data);
-        sync_victim(dst.block);
-        if (st == Status::ok) break;
-        SWL_ASSERT(st == Status::program_failed, "GC destination page was not programmable");
+        sync_victim(to.block);
+        return st;
+      });
+      if (!dst.valid()) {
+        aborted = true;  // out of destinations (media-error storms / SWL at pressure)
+        break;
       }
-      if (!aborted) {
-        if (entries != nullptr) entries[idx] = pack_entry(dst);
-        moved.push_back({src, dst, lba});
-      }
+      if (entries != nullptr) entries[idx] = pack_entry(dst);
+      moved.push_back({src, dst, lba});
     }
     // Land the group's map update, then retire the sources.
     bool landed = false;
@@ -679,26 +582,23 @@ bool Dftl::clean_data_block(BlockIndex victim) {
   if (st == Status::ok) {
     pool_.add(victim, chip().erase_count(victim));
   }
-  if (use_victim_index_) dindex_.remove(victim);
+  data_victims_.remove(victim);
   class_of_[victim] = BlockClass::free;
   return true;
 }
 
 bool Dftl::clean_translation_block(BlockIndex victim) {
   const auto& geo = chip().geometry();
-  SWL_ASSERT(victim != host_frontier_ && victim != gc_frontier_,
+  SWL_ASSERT(victim != host_.block && victim != gc_.block,
              "translation victim is a data frontier");
   // Destination accounting: every live translation page moves to the
   // translation frontier.
   const std::uint64_t n = chip().valid_page_count(victim);
-  const std::uint64_t trans_space =
-      (trans_frontier_ == kInvalidBlock || victim == trans_frontier_)
-          ? 0
-          : geo.pages_per_block - trans_next_page_;
+  const std::uint64_t trans_space = trans_.room(geo.pages_per_block, victim);
   const std::uint64_t blocks_needed =
       n > trans_space ? (n - trans_space + geo.pages_per_block - 1) / geo.pages_per_block : 0;
   if (blocks_needed > pool_.size()) return false;
-  if (victim == trans_frontier_) trans_frontier_ = kInvalidBlock;
+  trans_.close_if(victim);
   for (PageIndex p = 0; p < geo.pages_per_block; ++p) {
     const Ppa src{victim, p};
     if (chip().page_state(src) != PageState::valid) continue;
@@ -725,7 +625,7 @@ bool Dftl::clean_translation_block(BlockIndex victim) {
   if (st == Status::ok) {
     pool_.add(victim, chip().erase_count(victim));
   }
-  if (use_victim_index_) tindex_.remove(victim);
+  trans_victims_.remove(victim);
   class_of_[victim] = BlockClass::free;
   return true;
 }
@@ -762,17 +662,6 @@ void Dftl::rebuild_from_flash() {
   std::vector<Ppa> truth(config_.lba_count, kInvalidPpa);
   std::vector<std::uint64_t> win_seq(config_.lba_count, 0);
   std::vector<std::uint64_t> t_win_seq(tpage_count_, 0);
-  const auto keep_newest = [&](Ppa& winner, std::uint64_t& winner_seq, Ppa addr,
-                               std::uint64_t seq) {
-    if (!winner.valid() || seq > winner_seq) {
-      // Benign discard: the older version is superseded by construction.
-      if (winner.valid()) discard_status(chip().invalidate_page(winner));
-      winner = addr;
-      winner_seq = seq;
-    } else {
-      discard_status(chip().invalidate_page(addr));  // benign: stale duplicate
-    }
-  };
   for (BlockIndex b = 0; b < geo.block_count; ++b) {
     for (PageIndex p = 0; p < geo.pages_per_block; ++p) {
       const Ppa addr{b, p};
@@ -802,43 +691,20 @@ void Dftl::rebuild_from_flash() {
   // partially written block with the largest free tail of each class as that
   // class's frontier. Blocks holding only invalid pages never classified in
   // pass 1; treat them as data blocks so GC sees them.
-  std::vector<std::pair<PageIndex, BlockIndex>> partial_data;
-  std::vector<std::pair<PageIndex, BlockIndex>> partial_trans;
+  tl::FrontierCandidates partial_data;
+  tl::FrontierCandidates partial_trans;
   for (BlockIndex b = 0; b < geo.block_count; ++b) {
     if (chip().is_retired(b)) continue;
-    const PageIndex free_pages = chip().free_page_count(b);
-    if (free_pages == geo.pages_per_block) {
+    if (chip().free_page_count(b) == geo.pages_per_block) {
       class_of_[b] = BlockClass::free;
       pool_.add(b, chip().erase_count(b));
       continue;
     }
     if (class_of_[b] == BlockClass::free) class_of_[b] = BlockClass::data;
-    if (free_pages == 0) continue;
-    bool tail_is_free = true;
-    for (PageIndex p = geo.pages_per_block - free_pages; p < geo.pages_per_block; ++p) {
-      if (chip().page_state({b, p}) != PageState::free) {
-        tail_is_free = false;
-        break;
-      }
-    }
-    if (!tail_is_free) continue;
-    if (class_of_[b] == BlockClass::translation) {
-      partial_trans.emplace_back(free_pages, b);
-    } else {
-      partial_data.emplace_back(free_pages, b);
-    }
+    (class_of_[b] == BlockClass::translation ? partial_trans : partial_data).offer(chip(), b);
   }
-  std::sort(partial_data.rbegin(), partial_data.rend());
-  std::sort(partial_trans.rbegin(), partial_trans.rend());
-  const auto adopt = [&](const std::vector<std::pair<PageIndex, BlockIndex>>& from, std::size_t i,
-                         BlockIndex& frontier, PageIndex& next_page) {
-    if (i >= from.size()) return;
-    frontier = from[i].second;
-    next_page = geo.pages_per_block - from[i].first;
-  };
-  adopt(partial_data, 0, host_frontier_, host_next_page_);
-  adopt(partial_data, 1, gc_frontier_, gc_next_page_);
-  adopt(partial_trans, 0, trans_frontier_, trans_next_page_);
+  partial_data.adopt(geo.pages_per_block, {&host_, &gc_});
+  partial_trans.adopt(geo.pages_per_block, {&trans_});
   for (BlockIndex b = 0; b < geo.block_count; ++b) {
     if (!chip().is_retired(b)) sync_victim(b);
   }

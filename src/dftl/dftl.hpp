@@ -15,9 +15,10 @@
 //     up to writeback_batch-1 more from the cold end, which stay resident
 //     clean);
 //   - blocks are classified data vs translation; each class has its own
-//     write frontier, tl::VictimIndex and cyclic scanner, and garbage
-//     collection picks the better-scoring candidate across the two classes —
-//     translation-block GC competes for the same blocks SWL levels.
+//     write frontiers (tl::Frontier) and its own tl::VictimSelector, and
+//     garbage collection picks the better-scoring candidate across the two
+//     classes — translation-block GC competes for the same blocks SWL
+//     levels. The layer keeps the class policy, the CMT and every erase.
 //
 // Data-path GC never recurses through the cache: mapping updates for
 // relocated pages of non-resident translation pages are applied as direct
@@ -43,9 +44,10 @@
 #include <vector>
 
 #include "tl/free_block_pool.hpp"
+#include "tl/frontier.hpp"
 #include "tl/gc_policy.hpp"
 #include "tl/translation_layer.hpp"
-#include "tl/victim_index.hpp"
+#include "tl/victim_selector.hpp"
 
 namespace swl::dftl {
 
@@ -293,44 +295,29 @@ class Dftl final : public tl::TranslationLayer {
   static Status fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token);
 
   // -- space management / GC ------------------------------------------------
-  /// Next free page of a class frontier, opening a new block from the pool
-  /// (and classifying it) when the current one is full.
-  Ppa take_frontier_page(BlockIndex& frontier, PageIndex& next_page, BlockClass cls);
-
   void maybe_gc();
   bool gc_once();
   bool clean_block(BlockIndex victim);
   bool clean_data_block(BlockIndex victim);
   bool clean_translation_block(BlockIndex victim);
 
-  /// First positive-score victim of one class along its cyclic scan;
-  /// kInvalidBlock when none. Uses the class index or the reference scan
-  /// per configuration — bit-identical either way.
-  BlockIndex select_positive_victim(BlockClass cls);
-  /// Class-agnostic most-invalid fallback (ties: least worn, lowest index).
-  BlockIndex select_fallback_victim() const;
-
   void sync_victim(BlockIndex b) {
-    if (!use_victim_index_) return;
     switch (class_of_[b]) {
-      case BlockClass::data: dindex_.mark_dirty(b); break;
-      case BlockClass::translation: tindex_.mark_dirty(b); break;
+      case BlockClass::data: data_victims_.mark_dirty(b); break;
+      case BlockClass::translation: trans_victims_.mark_dirty(b); break;
       case BlockClass::free: break;  // pooled blocks never hold scores
     }
   }
 
   /// True when the next translation-page program must open a new block.
   [[nodiscard]] bool trans_frontier_full() const noexcept {
-    return trans_frontier_ == kInvalidBlock ||
-           trans_next_page_ >= chip().geometry().pages_per_block;
+    return trans_.full(chip().geometry().pages_per_block);
   }
 
   /// True when `b` currently serves as any write frontier.
   [[nodiscard]] bool is_frontier(BlockIndex b) const noexcept {
-    return b == host_frontier_ || b == gc_frontier_ || b == trans_frontier_;
+    return b == host_.block || b == gc_.block || b == trans_.block;
   }
-
-  [[nodiscard]] BlockIndex gc_trigger_level() const noexcept;
 
   /// Queues `tvpn` for a mount-time recovery rewrite (deduplicated).
   void mount_enqueue(Lba tvpn);
@@ -363,23 +350,16 @@ class Dftl final : public tl::TranslationLayer {
   tl::FreeBlockPool pool_;
   std::vector<BlockClass> class_of_;
 
-  // Per-class victim machinery; the reference scans stay available as the
-  // property-test / fuzz oracle.
-  tl::CyclicVictimScanner dscanner_;
-  tl::CyclicVictimScanner tscanner_;
-  tl::VictimIndex dindex_;
-  tl::VictimIndex tindex_;
-  bool use_victim_index_ = true;
+  tl::VictimSelector data_victims_;
+  tl::VictimSelector trans_victims_;
 
-  BlockIndex host_frontier_ = kInvalidBlock;   // data class, host writes
-  PageIndex host_next_page_ = 0;
-  BlockIndex gc_frontier_ = kInvalidBlock;     // data class, GC copies
-  PageIndex gc_next_page_ = 0;
-  BlockIndex trans_frontier_ = kInvalidBlock;  // translation class, all tpage writes
-  PageIndex trans_next_page_ = 0;
+  tl::Frontier host_;   // data class, host writes
+  tl::Frontier gc_;     // data class, GC copies
+  tl::Frontier trans_;  // translation class, all tpage writes
 
   std::uint64_t write_sequence_ = 0;
-  BlockIndex gc_trigger_cached_ = 4;
+  // Free-block level below which GC runs (tl::gc_trigger_level).
+  BlockIndex gc_trigger_ = 4;
 
   // Scratch entries for direct GC read-modify-writes (tpage_stride_ words).
   std::vector<std::uint32_t> rmw_entries_;

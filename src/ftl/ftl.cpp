@@ -8,32 +8,26 @@ namespace swl::ftl {
 
 using nand::PageState;
 
-Ftl::Ftl(nand::NandChip& chip, FtlConfig config)
+Ftl::Ftl(nand::NandChip& chip, FtlConfig config) : Ftl(chip, config, /*mount=*/false) {}
+
+Ftl::Ftl(nand::NandChip& chip, FtlConfig config, bool mount)
     : tl::TranslationLayer(chip),
       config_(config),
       pool_(chip.geometry().block_count, config.alloc_policy),
-      scanner_(chip.geometry().block_count),
-      vindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight) {
+      victims_(chip.geometry().block_count, chip.geometry().pages_per_block,
+               config.gc_cost_weight, config.reference_victim_scan) {
   init_config();
+  if (mount) {
+    rebuild_from_flash();
+    return;
+  }
   for (BlockIndex b = 0; b < chip.geometry().block_count; ++b) {
     pool_.add(b, chip.erase_count(b));
   }
 }
 
-Ftl::Ftl(nand::NandChip& chip, FtlConfig config, MountTag)
-    : tl::TranslationLayer(chip),
-      config_(config),
-      pool_(chip.geometry().block_count, config.alloc_policy),
-      scanner_(chip.geometry().block_count),
-      vindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight) {
-  init_config();
-  rebuild_from_flash();
-}
-
 std::unique_ptr<Ftl> Ftl::mount(nand::NandChip& chip, FtlConfig config) {
-  return std::unique_ptr<Ftl>(new Ftl(chip, config, MountTag{}));
+  return std::unique_ptr<Ftl>(new Ftl(chip, config, /*mount=*/true));
 }
 
 void Ftl::init_config() {
@@ -58,11 +52,10 @@ void Ftl::init_config() {
               "gc_trigger_fraction out of range");
   map_.assign(config_.lba_count, kInvalidPpa);
   last_write_seq_.assign(geo.block_count, 0);
-  gc_trigger_cached_ = gc_trigger_level();
+  gc_trigger_ = tl::gc_trigger_level(config_.gc_trigger_fraction, config_.min_free_blocks,
+                                     geo.block_count);
   bytes_mode_ = chip().config().store_payload_bytes;
-  use_victim_index_ = !config_.reference_victim_scan;
   set_fast_paths(&Ftl::fast_write_thunk, &Ftl::fast_read_thunk);
-  set_prefetch(&Ftl::prefetch_thunk);
 }
 
 void Ftl::rebuild_from_flash() {
@@ -80,76 +73,32 @@ void Ftl::rebuild_from_flash() {
       if (spare.lba == kInvalidLba || spare.lba >= config_.lba_count) {
         // Benign discard: mount-scan invalidation of a page a crash may
         // already have consumed — page_not_programmed just means the work
-        // is already done. (Same caveat for the two discards below.)
+        // is already done.
         discard_status(chip().invalidate_page(addr));  // unreadable / out of range
         continue;
       }
-      const Ppa previous = map_[spare.lba];
-      if (!previous.valid() || spare.sequence > winning_sequence[spare.lba]) {
-        // Benign discard: superseding an older copy of this LBA.
-        if (previous.valid()) discard_status(chip().invalidate_page(previous));
-        map_[spare.lba] = addr;
-        winning_sequence[spare.lba] = spare.sequence;
-      } else {
-        // Benign discard: this page lost to a newer copy.
-        discard_status(chip().invalidate_page(addr));
-      }
+      keep_newest(map_[spare.lba], winning_sequence[spare.lba], addr, spare.sequence);
     }
   }
   // Pass 2: rebuild the pool from fully erased blocks and re-adopt the
-  // partially written blocks with the largest free tails as frontiers (the
-  // FTL programs sequentially, so free pages always form a tail). Any
-  // further partial blocks are left as data blocks; their free tails are
-  // reclaimed when garbage collection recycles them.
-  std::vector<std::pair<PageIndex, BlockIndex>> partial;  // (free pages, block)
+  // partially written blocks with the largest free tails as frontiers.
+  tl::FrontierCandidates partial;
   for (BlockIndex b = 0; b < geo.block_count; ++b) {
     if (chip().is_retired(b)) continue;
-    const PageIndex free_pages = chip().free_page_count(b);
-    if (free_pages == geo.pages_per_block) {
+    if (chip().free_page_count(b) == geo.pages_per_block) {
       pool_.add(b, chip().erase_count(b));
-    } else if (free_pages > 0) {
-      bool tail_is_free = true;
-      for (PageIndex p = geo.pages_per_block - free_pages; p < geo.pages_per_block; ++p) {
-        if (chip().page_state({b, p}) != PageState::free) {
-          tail_is_free = false;
-          break;
-        }
-      }
-      if (tail_is_free) partial.emplace_back(free_pages, b);
+    } else {
+      partial.offer(chip(), b);
     }
   }
-  std::sort(partial.rbegin(), partial.rend());
-  const auto adopt = [&](std::size_t i, BlockIndex& frontier, PageIndex& next_page) {
-    if (i >= partial.size()) return;
-    frontier = partial[i].second;
-    next_page = geo.pages_per_block - partial[i].first;
-  };
-  adopt(0, host_frontier_, host_next_page_);
-  adopt(1, gc_frontier_, gc_next_page_);
-  if (config_.hot_cold_separation) adopt(2, hot_frontier_, hot_next_page_);
+  partial.adopt(geo.pages_per_block,
+                {&host_, &gc_, config_.hot_cold_separation ? &hot_ : nullptr});
   // The passes above invalidated stale pages in place; synchronize the
   // victim index with the chip's real counts once. Retired blocks never
   // enter the index.
   for (BlockIndex b = 0; b < geo.block_count; ++b) {
-    if (!chip().is_retired(b)) sync_victim(b);
+    if (!chip().is_retired(b)) victims_.mark_dirty(b);
   }
-}
-
-BlockIndex Ftl::gc_trigger_level() const noexcept {
-  const auto frac = static_cast<BlockIndex>(config_.gc_trigger_fraction *
-                                            static_cast<double>(chip().geometry().block_count));
-  return std::max(config_.min_free_blocks, frac);
-}
-
-Ppa Ftl::take_frontier_page(BlockIndex& frontier, PageIndex& next_page) {
-  const PageIndex pages = chip().geometry().pages_per_block;
-  if (frontier == kInvalidBlock || next_page >= pages) {
-    SWL_ASSERT(!pool_.empty(), "free-block pool exhausted");
-    frontier = pool_.take();
-    next_page = 0;
-    SWL_ASSERT(chip().free_page_count(frontier) == pages, "pooled block was not empty");
-  }
-  return Ppa{frontier, next_page++};
 }
 
 Status Ftl::write(Lba lba, std::uint64_t payload_token) {
@@ -175,33 +124,23 @@ Status Ftl::write_internal(Lba lba, std::uint64_t payload_token,
     hot_id_->record_write(lba);
     hot = hot_id_->is_hot(lba);
   }
-  BlockIndex& frontier = hot ? hot_frontier_ : host_frontier_;
-  PageIndex& next_page = hot ? hot_next_page_ : host_next_page_;
-  Ppa dst;
-  while (true) {
-    // A host write may only open a new frontier block when at least one
-    // other free block remains: the last free block is reserved for garbage
-    // collection, which would otherwise have no destination for live copies
-    // and wedge the device.
-    const bool need_new_block =
-        frontier == kInvalidBlock || next_page >= chip().geometry().pages_per_block;
-    if (need_new_block && pool_.size() < 2) return Status::out_of_space;
-    dst = take_frontier_page(frontier, next_page);
-    const Status st = chip().program_page(
-        dst, payload_token, nand::SpareArea{lba, ++write_sequence_, 0}, data);
-    sync_victim(dst.block);  // a failed program consumes the page: counts moved either way
-    if (st == Status::ok) {
-      last_write_seq_[dst.block] = write_sequence_;
-      break;
-    }
-    // A failed program consumes the page; retry on the next frontier page.
-    SWL_ASSERT(st == Status::program_failed, "frontier page was not programmable");
-  }
+  // A host write may only open a new frontier block when at least one other
+  // free block remains: the last free block is reserved for garbage
+  // collection, which would otherwise have no destination for live copies
+  // and wedge the device.
+  const Ppa dst = (hot ? hot_ : host_).program_next(pool_, chip(), /*keep_free=*/1, [&](Ppa to) {
+    const Status st =
+        chip().program_page(to, payload_token, nand::SpareArea{lba, ++write_sequence_, 0}, data);
+    victims_.mark_dirty(to.block);  // a failed program consumes the page: counts moved either way
+    return st;
+  });
+  if (!dst.valid()) return Status::out_of_space;
+  last_write_seq_[dst.block] = write_sequence_;
   const Ppa old = map_[lba];
   if (old.valid()) {
     const Status inv = chip().invalidate_page(old);
     SWL_ASSERT(inv == Status::ok, "stale mapping pointed at an unprogrammed page");
-    sync_victim(old.block);
+    victims_.mark_dirty(old.block);
   }
   map_[lba] = dst;
   finish_host_write();
@@ -235,15 +174,14 @@ bool Ftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t pa
   // Pool at or above the GC trigger: write_internal's maybe_gc() would not
   // collect anything. Its frontier *sealing* is also safely deferred: a full
   // frontier behaves exactly like a sealed one everywhere outside gc_once()
-  // (take_frontier_page opens a new block either way, clean_block counts no
-  // free pages in it and closes it when collected), and gc_once() only runs
-  // from maybe_gc(), which always seals first.
-  if (self.pool_.size() < self.gc_trigger_cached_) return false;
+  // (program_next opens a new block either way, clean_block counts no free
+  // pages in it and closes it when collected), and gc_once() only runs from
+  // maybe_gc(), which always seals first.
+  if (self.pool_.size() < self.gc_trigger_) return false;
   const PageIndex pages = chip.geometry().pages_per_block;
-  if (self.host_frontier_ == kInvalidBlock || self.host_next_page_ >= pages) return false;
+  if (self.host_.full(pages)) return false;
   const bool classify = self.hot_id_.has_value();
-  if (classify &&
-      (self.hot_frontier_ == kInvalidBlock || self.hot_next_page_ >= pages)) {
+  if (classify && self.hot_.full(pages)) {
     return false;  // the write might classify hot; both frontiers must be open
   }
   // Committed: this mirrors write_internal statement for statement.
@@ -252,34 +190,22 @@ bool Ftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t pa
     self.hot_id_->record_write(lba);
     hot = self.hot_id_->is_hot(lba);
   }
-  BlockIndex& frontier = hot ? self.hot_frontier_ : self.host_frontier_;
-  PageIndex& next_page = hot ? self.hot_next_page_ : self.host_next_page_;
-  const Ppa dst{frontier, next_page++};
+  tl::Frontier& frontier = hot ? self.hot_ : self.host_;
+  const Ppa dst{frontier.block, frontier.next++};
   const Status st =
       chip.program_page(dst, payload_token, nand::SpareArea{lba, ++self.write_sequence_, 0});
   SWL_ASSERT(st == Status::ok, "fast-path frontier page was not programmable");
-  self.sync_victim(dst.block);
+  self.victims_.mark_dirty(dst.block);
   self.last_write_seq_[dst.block] = self.write_sequence_;
   const Ppa old = self.map_[lba];
   if (old.valid()) {
     const Status inv = chip.invalidate_page(old);
     SWL_ASSERT(inv == Status::ok, "stale mapping pointed at an unprogrammed page");
-    self.sync_victim(old.block);
+    self.victims_.mark_dirty(old.block);
   }
   self.map_[lba] = dst;
   self.finish_host_write();
   return true;
-}
-
-void Ftl::prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba) {
-  const Ftl& self = static_cast<const Ftl&>(base);
-  // The far record only needs its map entry on the way; the near record's
-  // entry was hinted when it was far, so loading it now is cheap and its
-  // mapped page's metadata (invalidated on overwrite, read on a read
-  // record) can be pulled too.
-  __builtin_prefetch(self.map_.data() + far_lba, 0, 1);
-  const Ppa near_ppa = self.map_[near_lba];
-  if (near_ppa.valid()) self.chip().prefetch_page(near_ppa);
 }
 
 Status Ftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {
@@ -301,112 +227,39 @@ Ppa Ftl::translate(Lba lba) const {
 }
 
 void Ftl::maybe_gc() {
-  // Seal frontiers that are full: they hold no free pages anymore, so they
-  // are plain data blocks and must be visible to victim selection (hot
-  // overwrites concentrate invalid pages exactly there).
   const PageIndex pages = chip().geometry().pages_per_block;
-  if (host_frontier_ != kInvalidBlock && host_next_page_ >= pages) {
-    host_frontier_ = kInvalidBlock;
-  }
-  if (gc_frontier_ != kInvalidBlock && gc_next_page_ >= pages) {
-    gc_frontier_ = kInvalidBlock;
-  }
-  if (hot_frontier_ != kInvalidBlock && hot_next_page_ >= pages) {
-    hot_frontier_ = kInvalidBlock;
-  }
-  while (pool_.size() < gc_trigger_cached_) {
+  host_.seal_if_full(pages);
+  gc_.seal_if_full(pages);
+  hot_.seal_if_full(pages);
+  while (pool_.size() < gc_trigger_) {
     if (!gc_once()) break;
   }
 }
 
 bool Ftl::gc_once() {
-  const auto& geo = chip().geometry();
+  const auto not_frontier = [this](BlockIndex b) {
+    return b != host_.block && b != gc_.block && b != hot_.block;
+  };
+  BlockIndex victim = kInvalidBlock;
   if (config_.victim_policy == tl::VictimPolicy::cost_benefit_age) {
     // LFS-style: maximize age * (1-u) / 2u over blocks with anything to
     // reclaim.
-    BlockIndex best = kInvalidBlock;
-    double best_score = 0.0;
-    for (BlockIndex b = 0; b < geo.block_count; ++b) {
-      if (b == host_frontier_ || b == gc_frontier_ || b == hot_frontier_) continue;
-      if (pool_.contains(b) || chip().is_retired(b)) continue;
-      if (chip().invalid_page_count(b) == 0) continue;
-      const auto age = static_cast<double>(write_sequence_ - last_write_seq_[b]);
-      const double score =
-          tl::cost_benefit_score(chip().valid_page_count(b), geo.pages_per_block, age);
-      if (best == kInvalidBlock || score > best_score) {
-        best = b;
-        best_score = score;
-      }
-    }
-    if (best == kInvalidBlock) return false;
-    return clean_block(best);
-  }
-  // Greedy cost/benefit selection via cyclic scan (Section 5.1).
-  BlockIndex victim = kInvalidBlock;
-  if (use_victim_index_) {
-    // Index-accelerated equivalent of the reference scan below: hop over the
-    // positive-score blocks from the cursor instead of probing every block.
-    // Positive-score blocks are never pooled (pooled blocks score 0) nor
-    // retired (removed from the index on retirement), so only the write
-    // frontiers need filtering here. A full wrap (b == first again) means
-    // every positive block is a frontier — same outcome as a fruitless cycle.
-    vindex_.flush(chip());
-    if (vindex_.any_positive()) {
-      std::size_t start = scanner_.cursor();
-      BlockIndex first = kInvalidBlock;
-      while (true) {
-        const auto b = static_cast<BlockIndex>(vindex_.next_positive(start));
-        if (first == kInvalidBlock) {
-          first = b;
-        } else if (b == first) {
-          break;
-        }
-        if (b != host_frontier_ && b != gc_frontier_ && b != hot_frontier_) {
-          victim = b;
-          break;
-        }
-        start = (b + 1 == geo.block_count) ? 0 : b + 1;
-      }
-    }
-    if (victim != kInvalidBlock) {
-      scanner_.advance_past(victim);
-    } else {
-      // Fallback (reference semantics below): most invalid pages, ties to the
-      // least-worn, then the lowest index; frontiers are eligible here.
-      victim = vindex_.most_invalid(chip());
-    }
-    if (victim == kInvalidBlock) return false;
-    return clean_block(victim);
-  }
-  victim = scanner_.next([&](BlockIndex b) {
-    if (b == host_frontier_ || b == gc_frontier_ || b == hot_frontier_) return false;
-    if (pool_.contains(b) || chip().is_retired(b)) return false;
-    return tl::gc_score(chip().valid_page_count(b), chip().invalid_page_count(b),
-                        config_.gc_cost_weight) > 0.0;
-  });
-  if (victim == kInvalidBlock) {
-    // No block clears the greedy bar; fall back to the most-invalid block
-    // (ties to the least-worn — dynamic wear leveling) so space can still be
-    // reclaimed under pressure. Unlike the scan above, the fallback may also
-    // collect a partially-filled frontier: superseded copies can pile up
-    // there, and excluding it would wedge the device (clean_block closes the
-    // frontier before recycling it).
-    PageIndex best_invalid = 0;
-    std::uint32_t best_erases = 0;
-    for (BlockIndex b = 0; b < geo.block_count; ++b) {
-      if (pool_.contains(b) || chip().is_retired(b)) continue;
-      const PageIndex invalid = chip().invalid_page_count(b);
-      if (invalid == 0) continue;
-      if (victim == kInvalidBlock || invalid > best_invalid ||
-          (invalid == best_invalid && chip().erase_count(b) < best_erases)) {
-        victim = b;
-        best_invalid = invalid;
-        best_erases = chip().erase_count(b);
-      }
+    victim = victims_.best_cost_benefit(chip(), not_frontier, [this](BlockIndex b) {
+      return static_cast<double>(write_sequence_ - last_write_seq_[b]);
+    });
+  } else {
+    // Greedy cost/benefit selection via cyclic scan (Section 5.1). When no
+    // block clears the greedy bar, fall back to the most-invalid block (ties
+    // to the least-worn — dynamic wear leveling) so space can still be
+    // reclaimed under pressure. The fallback may also collect a partially
+    // filled frontier: superseded copies can pile up there, and excluding it
+    // would wedge the device (clean_block closes the frontier first).
+    victim = victims_.first_positive(chip(), not_frontier);
+    if (victim == kInvalidBlock) {
+      victim = victims_.most_invalid(chip(), [](BlockIndex) { return true; });
     }
   }
-  if (victim == kInvalidBlock) return false;
-  return clean_block(victim);
+  return victim != kInvalidBlock && clean_block(victim);
 }
 
 bool Ftl::clean_block(BlockIndex victim) {
@@ -416,17 +269,14 @@ bool Ftl::clean_block(BlockIndex victim) {
   // invalid page implies valid < pages_per_block and the reserved GC block
   // provides pages_per_block destinations); this protects SWL-requested
   // collections under extreme space pressure.
-  const PageIndex gc_frontier_space =
-      (gc_frontier_ == kInvalidBlock || victim == gc_frontier_)
-          ? 0
-          : geo.pages_per_block - gc_next_page_;
   const std::uint64_t destinations =
-      gc_frontier_space + pool_.size() * static_cast<std::uint64_t>(geo.pages_per_block);
+      gc_.room(geo.pages_per_block, victim) +
+      pool_.size() * static_cast<std::uint64_t>(geo.pages_per_block);
   if (chip().valid_page_count(victim) > destinations) return false;
   // Close frontiers that are being collected (SWL may select them).
-  if (victim == host_frontier_) host_frontier_ = kInvalidBlock;
-  if (victim == gc_frontier_) gc_frontier_ = kInvalidBlock;
-  if (victim == hot_frontier_) hot_frontier_ = kInvalidBlock;
+  host_.close_if(victim);
+  gc_.close_if(victim);
+  hot_.close_if(victim);
   for (PageIndex p = 0; p < geo.pages_per_block; ++p) {
     const Ppa src{victim, p};
     if (chip().page_state(src) != PageState::valid) continue;
@@ -452,32 +302,26 @@ bool Ftl::clean_block(BlockIndex victim) {
     }
     SWL_ASSERT(lba < config_.lba_count && map_[lba] == src,
                "valid page not referenced by the translation table");
-    while (true) {
-      const bool need_new_block =
-          gc_frontier_ == kInvalidBlock || gc_next_page_ >= geo.pages_per_block;
-      if (need_new_block && pool_.empty()) {
-        // Out of destinations (possible only under media-error storms or
-        // SWL collections at extreme pressure): stop here. Pages already
-        // relocated were invalidated at their source, so the partially
-        // cleaned victim stays fully consistent — it just is not erased.
-        return false;
-      }
-      const Ppa dst = take_frontier_page(gc_frontier_, gc_next_page_);
+    const Ppa dst = gc_.program_next(pool_, chip(), /*keep_free=*/0, [&](Ppa to) {
       // A fresh sequence number: if power is lost between this copy and the
       // victim's erase, the mount scan must prefer the copy.
       const Status st = chip().program_page(
-          dst, payload_token, nand::SpareArea{lba, ++write_sequence_, 0, role}, data);
-      sync_victim(dst.block);
-      if (st == Status::ok) {
-        map_[lba] = dst;
-        last_write_seq_[dst.block] = write_sequence_;
-        break;
-      }
-      SWL_ASSERT(st == Status::program_failed, "GC destination page was not programmable");
+          to, payload_token, nand::SpareArea{lba, ++write_sequence_, 0, role}, data);
+      victims_.mark_dirty(to.block);
+      return st;
+    });
+    if (!dst.valid()) {
+      // Out of destinations (possible only under media-error storms or SWL
+      // collections at extreme pressure): stop here. Pages already relocated
+      // were invalidated at their source, so the partially cleaned victim
+      // stays fully consistent — it just is not erased.
+      return false;
     }
+    map_[lba] = dst;
+    last_write_seq_[dst.block] = write_sequence_;
     const Status inv = chip().invalidate_page(src);
     SWL_ASSERT(inv == Status::ok, "relocated source page was not invalidatable");
-    sync_victim(victim);
+    victims_.mark_dirty(victim);
     count_live_copy();
   }
   const Status st = chip().erase_block(victim);
@@ -486,7 +330,7 @@ bool Ftl::clean_block(BlockIndex victim) {
   }
   // Erased (score 0, no invalid pages) or retired: either way the block
   // leaves the index until it is programmed again.
-  if (use_victim_index_) vindex_.remove(victim);
+  victims_.remove(victim);
   // A worn-out, retired block is silently dropped from circulation.
   return true;
 }

@@ -1,12 +1,12 @@
 // FTL — the page-mapping Flash Translation Layer (Section 2.2, Figure 2(a)).
 //
 // A fine-grained translation table maps every LBA to a physical (block, page)
-// address. Host writes fill an active block page by page; garbage collection
-// picks victims with the greedy cost/benefit policy through a cyclic scan,
-// copies live pages to a separate GC frontier and recycles the victim.
-// Free-block allocation takes the lowest-erase-count block (dynamic wear
-// leveling). The SW Leveler drives the same cleaning machinery through
-// do_collect_blocks().
+// address. Host writes fill a write frontier (tl::Frontier) page by page;
+// garbage collection picks victims through the shared tl::VictimSelector
+// (the greedy cyclic scan of Section 5.1), copies live pages to a separate
+// GC frontier and recycles the victim. The layer itself keeps the map, the
+// hot/cold frontier choice and every erase. The SW Leveler drives the same
+// cleaning machinery through do_collect_blocks().
 #ifndef SWL_FTL_FTL_HPP
 #define SWL_FTL_FTL_HPP
 
@@ -16,9 +16,10 @@
 
 #include "hotness/hot_data.hpp"
 #include "tl/free_block_pool.hpp"
+#include "tl/frontier.hpp"
 #include "tl/gc_policy.hpp"
 #include "tl/translation_layer.hpp"
-#include "tl/victim_index.hpp"
+#include "tl/victim_selector.hpp"
 
 namespace swl::ftl {
 
@@ -99,8 +100,8 @@ class Ftl final : public tl::TranslationLayer {
   void do_collect_blocks(BlockIndex first, BlockIndex count) override;
 
  private:
-  struct MountTag {};
-  Ftl(nand::NandChip& chip, FtlConfig config, MountTag);
+  /// Formats (mount = false) or mounts an existing image (see mount()).
+  Ftl(nand::NandChip& chip, FtlConfig config, bool mount);
 
   /// Shared constructor body (config normalization and validation).
   void init_config();
@@ -111,10 +112,6 @@ class Ftl final : public tl::TranslationLayer {
   /// Shared write path; `data` may be empty (token-only write).
   Status write_internal(Lba lba, std::uint64_t payload_token,
                         std::span<const std::uint8_t> data);
-
-  /// Next free page of the host (or GC) write frontier, opening a new block
-  /// from the pool when the current one is full.
-  Ppa take_frontier_page(BlockIndex& frontier, PageIndex& next_page);
 
   /// Runs garbage collection until the pool is back above the trigger level
   /// (or nothing more can be reclaimed).
@@ -132,45 +129,26 @@ class Ftl final : public tl::TranslationLayer {
   /// trigger, destination frontier open — and bails to write() otherwise.
   static bool fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token);
   static Status fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token);
-  /// Prefetch hint (see TranslationLayer::prefetch_records): pulls the far
-  /// record's map entry and the near record's mapped page toward the cache.
-  static void prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba);
-
-  /// Marks `b` for victim-index re-scoring after an operation changed its
-  /// page counts (the index flushes lazily at the next GC selection).
-  void sync_victim(BlockIndex b) {
-    if (use_victim_index_) vindex_.mark_dirty(b);
-  }
 
   /// Copies the victim's live pages to the GC frontier, erases it and
   /// returns it to the pool. False when the victim's live pages exceed the
   /// available destination space (nothing is modified then).
   bool clean_block(BlockIndex victim);
 
-  [[nodiscard]] BlockIndex gc_trigger_level() const noexcept;
-
   FtlConfig config_;
   std::vector<Ppa> map_;  // the address translation table (in RAM), Fig. 2(a)
   tl::FreeBlockPool pool_;
-  tl::CyclicVictimScanner scanner_;
-  // Cached greedy victim scores (dirty mask + positive/candidate masks),
-  // flushed lazily at GC selection; reference_victim_scan disables it.
-  tl::VictimIndex vindex_;
-  bool use_victim_index_ = true;
-  BlockIndex host_frontier_ = kInvalidBlock;
-  PageIndex host_next_page_ = 0;
-  BlockIndex gc_frontier_ = kInvalidBlock;
-  PageIndex gc_next_page_ = 0;
-  // Hot-write frontier, used only with hot/cold separation.
-  BlockIndex hot_frontier_ = kInvalidBlock;
-  PageIndex hot_next_page_ = 0;
+  tl::VictimSelector victims_;
+  tl::Frontier host_;
+  tl::Frontier gc_;
+  tl::Frontier hot_;  // used only with hot/cold separation
   std::optional<hotness::HotDataIdentifier> hot_id_;
   std::uint64_t write_sequence_ = 0;
   // Newest sequence number programmed into each block (age for the
   // cost-benefit victim policy).
   std::vector<std::uint64_t> last_write_seq_;
-  // gc_trigger_level(), precomputed (pure in config + geometry).
-  BlockIndex gc_trigger_cached_ = 2;
+  // Free-block level below which GC runs (tl::gc_trigger_level).
+  BlockIndex gc_trigger_ = 2;
   // chip().config().store_payload_bytes: GC copies must carry page bytes.
   bool bytes_mode_ = false;
 };

@@ -8,32 +8,26 @@ namespace swl::nftl {
 
 using nand::PageState;
 
-Nftl::Nftl(nand::NandChip& chip, NftlConfig config)
+Nftl::Nftl(nand::NandChip& chip, NftlConfig config) : Nftl(chip, config, /*mount=*/false) {}
+
+Nftl::Nftl(nand::NandChip& chip, NftlConfig config, bool mount)
     : tl::TranslationLayer(chip),
       config_(config),
       pool_(chip.geometry().block_count, config.alloc_policy),
-      scanner_(chip.geometry().block_count),
-      vindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight) {
+      victims_(chip.geometry().block_count, chip.geometry().pages_per_block,
+               config.gc_cost_weight, config.reference_victim_scan) {
   init_config();
+  if (mount) {
+    rebuild_from_flash();
+    return;
+  }
   for (BlockIndex b = 0; b < chip.geometry().block_count; ++b) {
     pool_.add(b, chip.erase_count(b));
   }
 }
 
-Nftl::Nftl(nand::NandChip& chip, NftlConfig config, MountTag)
-    : tl::TranslationLayer(chip),
-      config_(config),
-      pool_(chip.geometry().block_count, config.alloc_policy),
-      scanner_(chip.geometry().block_count),
-      vindex_(chip.geometry().block_count, chip.geometry().pages_per_block,
-              config.gc_cost_weight) {
-  init_config();
-  rebuild_from_flash();
-}
-
 std::unique_ptr<Nftl> Nftl::mount(nand::NandChip& chip, NftlConfig config) {
-  return std::unique_ptr<Nftl>(new Nftl(chip, config, MountTag{}));
+  return std::unique_ptr<Nftl>(new Nftl(chip, config, /*mount=*/true));
 }
 
 void Nftl::init_config() {
@@ -54,12 +48,10 @@ void Nftl::init_config() {
   owner_.assign(geo.block_count, kInvalidVba);
   latest_.assign(lba_count_, kInvalidPpa);
   last_write_seq_.assign(geo.block_count, 0);
-  gc_trigger_cached_ = gc_trigger_level();
+  gc_trigger_ = tl::gc_trigger_level(config_.gc_trigger_fraction, config_.min_free_blocks,
+                                     geo.block_count);
   bytes_mode_ = chip().config().store_payload_bytes;
-  maybe_invalid_.assign(geo.block_count, 0);
-  use_victim_index_ = !config_.reference_victim_scan;
   set_fast_paths(&Nftl::fast_write_thunk, &Nftl::fast_read_thunk);
-  set_prefetch(&Nftl::prefetch_thunk);
 }
 
 void Nftl::rebuild_from_flash() {
@@ -200,18 +192,7 @@ void Nftl::rebuild_from_flash() {
       const Ppa addr{b, p};
       if (chip().page_state(addr) != PageState::valid) continue;
       const nand::SpareArea& spare = chip().spare(addr);
-      const Lba lba = spare.lba;
-      const Ppa previous = latest_[lba];
-      if (!previous.valid() || spare.sequence > winning_sequence[lba]) {
-        // Benign discard: superseded-version invalidation during the mount
-        // scan; an already-consumed page is already invalid.
-        if (previous.valid()) discard_status(chip().invalidate_page(previous));
-        latest_[lba] = addr;
-        winning_sequence[lba] = spare.sequence;
-      } else {
-        // Benign discard: this page lost to a newer copy (same caveat).
-        discard_status(chip().invalidate_page(addr));
-      }
+      keep_newest(latest_[spare.lba], winning_sequence[spare.lba], addr, spare.sequence);
     }
   };
   for (Vba v = 0; v < config_.vba_count; ++v) {
@@ -238,19 +219,11 @@ void Nftl::rebuild_from_flash() {
   }
 
   // The passes above invalidated garbage and stale versions in place;
-  // resynchronize the scan filter and the victim index with the chip's real
-  // counts once. Only owned blocks are scannable, and retired blocks must
-  // never enter the index.
+  // resynchronize the victim index with the chip's real counts once. Only
+  // owned blocks are victims, and retired blocks must never enter the index.
   for (BlockIndex b = 0; b < geo.block_count; ++b) {
-    maybe_invalid_[b] = chip().invalid_page_count(b) > 0 ? 1 : 0;
-    if (!chip().is_retired(b) && owner_[b] != kInvalidVba) sync_victim(b);
+    if (!chip().is_retired(b) && owner_[b] != kInvalidVba) victims_.mark_dirty(b);
   }
-}
-
-BlockIndex Nftl::gc_trigger_level() const noexcept {
-  const auto frac = static_cast<BlockIndex>(config_.gc_trigger_fraction *
-                                            static_cast<double>(chip().geometry().block_count));
-  return std::max(config_.min_free_blocks, frac);
 }
 
 BlockIndex Nftl::allocate_block(Vba vba) {
@@ -264,11 +237,9 @@ BlockIndex Nftl::allocate_block(Vba vba) {
 
 void Nftl::release_block(BlockIndex block) {
   owner_[block] = kInvalidVba;
-  // Either outcome leaves the block out of the victim scan (erased and
-  // pooled, or retired), so its invalid flag can drop and the victim index
-  // forgets it.
-  maybe_invalid_[block] = 0;
-  if (use_victim_index_) vindex_.remove(block);
+  // Either outcome leaves the block out of victim selection (erased and
+  // pooled, or retired), so the victim index forgets it.
+  victims_.remove(block);
   if (chip().erase_block(block) == Status::ok) {
     pool_.add(block, chip().erase_count(block));
   }
@@ -312,12 +283,8 @@ Status Nftl::write_internal(Lba lba, std::uint64_t payload_token,
         nand::SpareArea{lba, ++write_sequence_, 0, nand::PageRole::primary}, data);
     SWL_ASSERT(st == Status::ok || st == Status::program_failed,
                "free primary page was not programmable");
-    sync_victim(dst.block);  // a failed program consumes the page: counts moved either way
-    if (st == Status::ok) {
-      last_write_seq_[dst.block] = write_sequence_;
-    } else {
-      note_invalid(dst.block);  // the failed program consumed the page
-    }
+    victims_.mark_dirty(dst.block);  // a failed program consumes the page: counts moved either way
+    if (st == Status::ok) last_write_seq_[dst.block] = write_sequence_;
   }
   if (st != Status::ok) {
     // Overwrite (or a failed primary program): append sequentially to the
@@ -329,8 +296,7 @@ Status Nftl::write_internal(Lba lba, std::uint64_t payload_token,
   if (old.valid()) {
     const Status inv = chip().invalidate_page(old);
     SWL_ASSERT(inv == Status::ok, "stale version pointed at an unprogrammed page");
-    note_invalid(old.block);
-    sync_victim(old.block);
+    victims_.mark_dirty(old.block);
   }
   latest_[lba] = dst;
   finish_host_write();
@@ -357,13 +323,12 @@ Ppa Nftl::append_to_replacement(Vba vba, Lba lba, std::uint64_t payload_token,
     const Status st = chip().program_page(
         dst, payload_token,
         nand::SpareArea{lba, ++write_sequence_, 0, nand::PageRole::replacement}, data);
-    sync_victim(dst.block);
+    victims_.mark_dirty(dst.block);
     if (st == Status::ok) {
       last_write_seq_[dst.block] = write_sequence_;
       return dst;
     }
     SWL_ASSERT(st == Status::program_failed, "replacement page was not programmable");
-    note_invalid(dst.block);  // the failed program consumed the page
   }
   return kInvalidPpa;
 }
@@ -409,10 +374,9 @@ bool Nftl::fold(Vba vba) {
           Ppa{fresh, offset}, payload_token,
           nand::SpareArea{base + offset, ++write_sequence_, 0, nand::PageRole::primary},
           data);
-      sync_victim(fresh);
+      victims_.mark_dirty(fresh);
       if (st != Status::ok) {
         SWL_ASSERT(st == Status::program_failed, "fold destination page was not programmable");
-        note_invalid(fresh);  // the failed program consumed the page
         copied_all = false;
         break;
       }
@@ -472,7 +436,7 @@ bool Nftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t p
   //     replacement page: an allocation or a fold is needed.
   if (lba >= self.lba_count_) return false;
   if (!chip.fast_media()) return false;
-  if (self.pool_.size() < self.gc_trigger_cached_) return false;
+  if (self.pool_.size() < self.gc_trigger_) return false;
 
   const PageIndex pages = chip.geometry().pages_per_block;
   const Vba vba = lba / pages;
@@ -495,30 +459,17 @@ bool Nftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t p
   const Status st = chip.program_page(
       dst, payload_token, nand::SpareArea{lba, ++self.write_sequence_, 0, role}, {});
   SWL_ASSERT(st == Status::ok, "fast-path destination page was not programmable");
-  self.sync_victim(dst.block);
+  self.victims_.mark_dirty(dst.block);
   self.last_write_seq_[dst.block] = self.write_sequence_;
   const Ppa old = self.latest_[lba];
   if (old.valid()) {
     const Status inv = chip.invalidate_page(old);
     SWL_ASSERT(inv == Status::ok, "stale version pointed at an unprogrammed page");
-    self.note_invalid(old.block);
-    self.sync_victim(old.block);
+    self.victims_.mark_dirty(old.block);
   }
   self.latest_[lba] = dst;
   self.finish_host_write();
   return true;
-}
-
-void Nftl::prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba) {
-  const Nftl& self = static_cast<const Nftl&>(base);
-  const PageIndex pages = self.chip().geometry().pages_per_block;
-  // The far record needs its version-index and VBA-table entries on the way;
-  // the near record is close enough that its current page's metadata
-  // (invalidated on overwrite, read on a read record) is worth pulling too.
-  __builtin_prefetch(self.latest_.data() + far_lba, 0, 1);
-  __builtin_prefetch(self.vmap_.data() + far_lba / pages, 0, 1);
-  const Ppa near_ppa = self.latest_[near_lba];
-  if (near_ppa.valid()) self.chip().prefetch_page(near_ppa);
 }
 
 Status Nftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {
@@ -550,7 +501,7 @@ BlockIndex Nftl::replacement_block(Vba vba) const {
 }
 
 void Nftl::maybe_gc() {
-  while (pool_.size() < gc_trigger_cached_) {
+  while (pool_.size() < gc_trigger_) {
     if (!gc_once()) break;
   }
 }
@@ -566,78 +517,22 @@ bool Nftl::gc_once() {
 }
 
 bool Nftl::gc_select_and_fold() {
-  const auto& geo = chip().geometry();
-  // Candidate filter: a block is foldable iff it has an owner. Pooled blocks
-  // never have one (check_invariants asserts it) and neither do retired
-  // blocks (ownership is cleared before every erase, including the one that
-  // retires), so the owner_ test subsumes the pool lookup; is_retired stays
-  // only as a cheap belt-and-braces guard.
-  if (config_.victim_policy == tl::VictimPolicy::cost_benefit_age) {
-    BlockIndex best = kInvalidBlock;
-    double best_score = 0.0;
-    for (BlockIndex b = 0; b < geo.block_count; ++b) {
-      if (!config_.reference_victim_scan && !maybe_invalid_[b]) {
-        continue;  // implies invalid_page_count == 0
-      }
-      if (owner_[b] == kInvalidVba || chip().is_retired(b)) continue;
-      if (chip().invalid_page_count(b) == 0) continue;
-      const auto age = static_cast<double>(write_sequence_ - last_write_seq_[b]);
-      const double score =
-          tl::cost_benefit_score(chip().valid_page_count(b), geo.pages_per_block, age);
-      if (best == kInvalidBlock || score > best_score) {
-        best = b;
-        best_score = score;
-      }
-    }
-    if (best == kInvalidBlock) return false;
-    return fold(owner_[best]);
-  }
-  // Greedy cost/benefit selection. The victim index already knows which
-  // blocks score positive (and which hold any invalid page, for the
-  // fallback); every indexed block is owned and live, because release_block
-  // removes a block before its erase/retire and pooled blocks are never
-  // marked, so no query-time filtering is needed. The cursor-cyclic
-  // next_positive() reproduces the reference scan's visiting order, and the
-  // fallback's index-order candidate walk reproduces its total order
-  // (invalid desc, erase count asc, block index asc).
+  // A block is foldable iff it has an owner: pooled blocks never have one
+  // (check_invariants asserts it) and neither do retired blocks (ownership
+  // is cleared before every erase, including the one that retires).
+  const auto owned = [this](BlockIndex b) { return owner_[b] != kInvalidVba; };
   BlockIndex victim = kInvalidBlock;
-  if (use_victim_index_) {
-    vindex_.flush(chip());
-    if (vindex_.any_positive()) {
-      victim = static_cast<BlockIndex>(vindex_.next_positive(scanner_.cursor()));
-      scanner_.advance_past(victim);
-    } else {
-      victim = vindex_.most_invalid(chip());
-    }
-    if (victim == kInvalidBlock) return false;
-    SWL_ASSERT(owner_[victim] != kInvalidVba, "victim index selected an unowned block");
-    return fold(owner_[victim]);
-  }
-  {
-    // Reference two-pass scan, probing every block's live counts.
-    victim = scanner_.next([&](BlockIndex b) {
-      if (owner_[b] == kInvalidVba || chip().is_retired(b)) return false;
-      return tl::gc_score(chip().valid_page_count(b), chip().invalid_page_count(b),
-                          config_.gc_cost_weight) > 0.0;
+  if (config_.victim_policy == tl::VictimPolicy::cost_benefit_age) {
+    victim = victims_.best_cost_benefit(chip(), owned, [this](BlockIndex b) {
+      return static_cast<double>(write_sequence_ - last_write_seq_[b]);
     });
-    if (victim == kInvalidBlock) {
-      PageIndex best_invalid = 0;
-      std::uint32_t best_erases = 0;
-      for (BlockIndex b = 0; b < geo.block_count; ++b) {
-        if (owner_[b] == kInvalidVba || chip().is_retired(b)) continue;
-        const PageIndex invalid = chip().invalid_page_count(b);
-        if (invalid == 0) continue;
-        if (victim == kInvalidBlock || invalid > best_invalid ||
-            (invalid == best_invalid && chip().erase_count(b) < best_erases)) {
-          victim = b;
-          best_invalid = invalid;
-          best_erases = chip().erase_count(b);
-        }
-      }
-    }
+  } else {
+    // Greedy cost/benefit selection, with the most-invalid fallback when no
+    // block scores positive.
+    victim = victims_.first_positive(chip(), owned);
+    if (victim == kInvalidBlock) victim = victims_.most_invalid(chip(), owned);
   }
-  if (victim == kInvalidBlock) return false;
-  return fold(owner_[victim]);
+  return victim != kInvalidBlock && fold(owner_[victim]);
 }
 
 void Nftl::do_collect_blocks(BlockIndex first, BlockIndex count) {

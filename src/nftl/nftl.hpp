@@ -6,8 +6,10 @@
 // Overwrites go sequentially into the VBA's *replacement* block. When the
 // replacement block fills up, the valid pages of the pair are merged (folded)
 // into a freshly allocated primary block and both old blocks are erased.
-// Garbage collection folds the pair owning the victim block chosen by the
-// greedy cyclic-scan policy. The SW Leveler drives the same fold machinery.
+// Garbage collection folds the pair owning the victim block that the shared
+// tl::VictimSelector picks among owned blocks (the greedy cyclic scan of
+// Section 5.1); the layer itself keeps the VBA tables, the fold and every
+// erase. The SW Leveler drives the same fold machinery.
 #ifndef SWL_NFTL_NFTL_HPP
 #define SWL_NFTL_NFTL_HPP
 
@@ -17,7 +19,7 @@
 #include "tl/free_block_pool.hpp"
 #include "tl/gc_policy.hpp"
 #include "tl/translation_layer.hpp"
-#include "tl/victim_index.hpp"
+#include "tl/victim_selector.hpp"
 
 namespace swl::nftl {
 
@@ -91,8 +93,8 @@ class Nftl final : public tl::TranslationLayer {
   void do_collect_blocks(BlockIndex first, BlockIndex count) override;
 
  private:
-  struct MountTag {};
-  Nftl(nand::NandChip& chip, NftlConfig config, MountTag);
+  /// Formats (mount = false) or mounts an existing image (see mount()).
+  Nftl(nand::NandChip& chip, NftlConfig config, bool mount);
 
   /// Shared constructor body (config normalization and validation).
   void init_config();
@@ -116,8 +118,6 @@ class Nftl final : public tl::TranslationLayer {
   bool gc_once();
   bool gc_select_and_fold();
 
-  [[nodiscard]] BlockIndex gc_trigger_level() const noexcept;
-
   /// Shared write path; `data` may be empty (token-only write).
   Status write_internal(Lba lba, std::uint64_t payload_token,
                         std::span<const std::uint8_t> data);
@@ -131,16 +131,6 @@ class Nftl final : public tl::TranslationLayer {
   /// allocation or a fold — and bails to write() otherwise.
   static bool fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token);
   static Status fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token);
-  /// Prefetch hint (see TranslationLayer::prefetch_records): pulls the far
-  /// record's version-index and VBA-table entries and the near record's
-  /// current page toward the cache.
-  static void prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba);
-
-  /// Marks `b` for victim-index re-scoring after an operation changed its
-  /// page counts (the index flushes lazily at the next GC selection).
-  void sync_victim(BlockIndex b) {
-    if (use_victim_index_) vindex_.mark_dirty(b);
-  }
 
   /// Programs `lba`'s payload into the next free page of the replacement
   /// block, allocating / folding as necessary and retrying past failed
@@ -168,33 +158,18 @@ class Nftl final : public tl::TranslationLayer {
   // invariant checker verifies this index against.
   std::vector<Ppa> latest_;
   tl::FreeBlockPool pool_;
-  tl::CyclicVictimScanner scanner_;
+  tl::VictimSelector victims_;
   std::uint64_t write_sequence_ = 0;
   // Newest sequence number programmed into each block (age for the
   // cost-benefit victim policy).
   std::vector<std::uint64_t> last_write_seq_;
-  /// Marks `block` as possibly holding invalid pages (see maybe_invalid_).
-  void note_invalid(BlockIndex block) noexcept { maybe_invalid_[block] = 1; }
-
-  // gc_trigger_level(), precomputed (pure in config + geometry).
-  BlockIndex gc_trigger_cached_ = 2;
+  // Free-block level below which GC runs (tl::gc_trigger_level).
+  BlockIndex gc_trigger_ = 2;
   // chip().config().store_payload_bytes: fold copies must carry page bytes.
   bool bytes_mode_ = false;
   // Per-fold new-location table, reused across folds (fold never re-enters
   // itself: release_block only fires erase observers, which never fold).
   std::vector<Ppa> fold_scratch_;
-  // Conservative per-block "may hold invalid pages" flag — a superset of the
-  // blocks with invalid_page_count > 0, maintained at every page
-  // invalidation / failed program (set) and every erase (cleared). The
-  // cost-benefit-age victim scan skips unflagged blocks without touching
-  // chip state (no policy can pick a block with zero invalid pages); the
-  // greedy policy goes through vindex_ instead. Stale set flags are
-  // harmless — the predicate still reads the real counts.
-  std::vector<std::uint8_t> maybe_invalid_;
-  // Cached greedy victim scores (dirty mask + positive/candidate masks),
-  // flushed lazily at GC selection; reference_victim_scan disables it.
-  tl::VictimIndex vindex_;
-  bool use_victim_index_ = true;
 
   static constexpr Vba kInvalidVba = static_cast<Vba>(-1);
 };

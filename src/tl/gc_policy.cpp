@@ -1,5 +1,7 @@
 #include "tl/gc_policy.hpp"
 
+#include <algorithm>
+
 #include "core/contracts.hpp"
 
 namespace swl::tl {
@@ -12,6 +14,12 @@ std::string_view to_string(VictimPolicy p) noexcept {
       return "cost_benefit_age";
   }
   return "unknown";
+}
+
+BlockIndex gc_trigger_level(double fraction, BlockIndex min_free_blocks,
+                            BlockIndex block_count) noexcept {
+  return std::max(min_free_blocks,
+                  static_cast<BlockIndex>(fraction * static_cast<double>(block_count)));
 }
 
 double cost_benefit_score(PageIndex valid_pages, PageIndex pages_per_block, double age) noexcept {

@@ -37,6 +37,11 @@ enum class VictimPolicy {
   return static_cast<double>(invalid_pages) - cost_weight * static_cast<double>(valid_pages);
 }
 
+/// Free-block level below which garbage collection runs: `fraction` of all
+/// `block_count` blocks, and never fewer than `min_free_blocks`.
+[[nodiscard]] BlockIndex gc_trigger_level(double fraction, BlockIndex min_free_blocks,
+                                          BlockIndex block_count) noexcept;
+
 /// Cost-benefit-age score: age * (1 - u) / (2 * u) with u = valid / pages.
 /// Fully valid blocks score 0 (nothing to gain); fully invalid blocks score
 /// highest. Requires pages > 0 and valid <= pages; age >= 0.

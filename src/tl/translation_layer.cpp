@@ -47,4 +47,17 @@ void TranslationLayer::collect_blocks(BlockIndex first, BlockIndex count) {
   serving_swl_ = false;
 }
 
+void TranslationLayer::keep_newest(Ppa& winner, std::uint64_t& winner_seq, Ppa addr,
+                                   std::uint64_t seq) {
+  if (!winner.valid() || seq > winner_seq) {
+    // Benign discard: the older version is superseded by construction, and a
+    // crash may already have consumed the page.
+    if (winner.valid()) discard_status(chip_.invalidate_page(winner));
+    winner = addr;
+    winner_seq = seq;
+  } else {
+    discard_status(chip_.invalidate_page(addr));  // benign: stale duplicate
+  }
+}
+
 }  // namespace swl::tl

@@ -1,7 +1,7 @@
 // Common interface of the Flash Translation Layer drivers (Figure 1).
 //
-// Both FTL (page mapping) and NFTL (block mapping) derive from
-// TranslationLayer, which provides:
+// FTL (page mapping), NFTL (block mapping) and DFTL (page mapping with a
+// flash-resident map) derive from TranslationLayer, which provides:
 //   - the host-facing read/write page API;
 //   - erase / live-copy accounting split by cause (regular GC vs SWL), the
 //     quantities behind the paper's Figures 6 and 7;
@@ -100,20 +100,6 @@ class TranslationLayer : public wear::Cleaner {
     return read(lba, payload_token);
   }
 
-  /// Prefetch hint for batched replay drivers: `near_lba` is about to be
-  /// processed within a few records, `far_lba` within a few dozen. The layer
-  /// pulls the translation entries (and, for the near record, the mapped
-  /// page's metadata) toward the cache. Purely advisory — never changes
-  /// state, counters or timing; no-op when the layer registered no hook.
-  /// Simulator::run deliberately does NOT call this: any indirect call in
-  /// its drain loop forces spill-heavy codegen for every record and measured
-  /// slower than the misses it hides while the map fits in cache (see
-  /// EXPERIMENTS.md, "Profiling & re-baselining"). External replay drivers
-  /// with device-scale maps can call it around their own record loops.
-  void prefetch_records(Lba near_lba, Lba far_lba) const {
-    if (prefetch_ != nullptr) prefetch_(*this, near_lba, far_lba);
-  }
-
   /// Byte-accurate variant: copies the page's stored bytes into `out`
   /// (exactly one page); pages written without bytes read back as zeros.
   virtual Status read_bytes(Lba lba, std::span<std::uint8_t> out) = 0;
@@ -156,20 +142,12 @@ class TranslationLayer : public wear::Cleaner {
   /// fallback — the registered function handles every case itself).
   using FastReadFn = Status (*)(TranslationLayer&, Lba, std::uint64_t*);
 
-  /// A prefetch hint (see prefetch_records); must not mutate anything
-  /// observable — layers take the const layer and only issue
-  /// __builtin_prefetch on their own tables.
-  using PrefetchFn = void (*)(const TranslationLayer&, Lba, Lba);
-
   /// Registers the derived layer's record-replay fast paths (either may be
   /// null to keep virtual dispatch for that operation).
   void set_fast_paths(FastWriteFn fast_write, FastReadFn fast_read) noexcept {
     fast_write_ = fast_write;
     fast_read_ = fast_read;
   }
-
-  /// Registers the layer's prefetch hint (null to disable).
-  void set_prefetch(PrefetchFn prefetch) noexcept { prefetch_ = prefetch; }
 
   /// Implementation of the Cleaner request (garbage collect specific blocks).
   virtual void do_collect_blocks(BlockIndex first, BlockIndex count) = 0;
@@ -201,6 +179,11 @@ class TranslationLayer : public wear::Cleaner {
   /// Implementations call this for every flash program of mapping metadata.
   void count_map_write() noexcept { ++counters_.map_writes; }
 
+  /// Mount-scan election, newest sequence wins: `addr`, programmed with
+  /// sequence `seq`, replaces `winner` when there is none yet or it is
+  /// older; the losing page is invalidated on the chip.
+  void keep_newest(Ppa& winner, std::uint64_t& winner_seq, Ppa addr, std::uint64_t seq);
+
   /// True while serving an SWL collection request.
   [[nodiscard]] bool serving_swl() const noexcept { return serving_swl_; }
 
@@ -212,7 +195,6 @@ class TranslationLayer : public wear::Cleaner {
   bool serving_swl_ = false;
   FastWriteFn fast_write_ = nullptr;
   FastReadFn fast_read_ = nullptr;
-  PrefetchFn prefetch_ = nullptr;
 };
 
 }  // namespace swl::tl

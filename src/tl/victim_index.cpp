@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "core/contracts.hpp"
-#include "nand/nand_chip.hpp"
 
 namespace swl::tl {
 
@@ -50,33 +49,6 @@ void VictimIndex::flush(const nand::NandChip& chip) {
     }
   }
   dirty_.reset();
-}
-
-BlockIndex VictimIndex::most_invalid(const nand::NandChip& chip) const {
-  if (candidate_.count() == 0) return kInvalidBlock;
-  // Scan the candidate mask in index order and keep the reference fallback's
-  // total order: most invalid pages, ties to the lowest erase count, then
-  // the lowest index (implicit in the strict compare + ascending walk).
-  BlockIndex best = kInvalidBlock;
-  PageIndex best_invalid = 0;
-  std::uint32_t best_erases = 0;
-  const std::vector<std::uint64_t>& words = candidate_.words();
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    std::uint64_t w = words[wi];
-    while (w != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(w));
-      w &= w - 1;
-      const auto b = static_cast<BlockIndex>(wi * 64 + bit);
-      const PageIndex invalid = chip.invalid_page_count(b);
-      if (best == kInvalidBlock || invalid > best_invalid ||
-          (invalid == best_invalid && chip.erase_count(b) < best_erases)) {
-        best = b;
-        best_invalid = invalid;
-        best_erases = chip.erase_count(b);
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace swl::tl

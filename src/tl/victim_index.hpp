@@ -6,8 +6,8 @@
 // scan. VictimIndex caches the two facts every greedy selection needs —
 //   - which blocks currently have a positive greedy score (a bitmask scanned
 //     word/SIMD-parallel via BitVec::next_set_cyclic), and
-//   - which blocks have any invalid page at all (the candidate mask for the
-//     most-invalid fallback, scanned the same way).
+//   - which blocks have any invalid page at all (the candidate mask that the
+//     most-invalid fallback and the cost-benefit-age pick walk).
 //
 // Maintenance is write-cheap and query-lazy: every page-state transition
 // (program, failed program, invalidation) just sets one bit in a dirty-block
@@ -26,24 +26,52 @@
 // predicate the reference scan evaluates, precomputed into an integer
 // threshold per valid-page count (exact because the score is monotone in the
 // invalid count), so the cached answer is bit-identical for any cost weight
-// (including negative ones). The translation layers keep their
-// reference_victim_scan configuration as the oracle; the victim-scan
+// (including negative ones). tl::VictimSelector keeps the reference scans
+// (each layer's reference_victim_scan) as the oracle; the victim-scan
 // property tests and the differential fuzzer pin the equivalence.
 #ifndef SWL_TL_VICTIM_INDEX_HPP
 #define SWL_TL_VICTIM_INDEX_HPP
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "core/bitvec.hpp"
 #include "core/types.hpp"
+#include "nand/nand_chip.hpp"
 #include "tl/gc_policy.hpp"
 
-namespace swl::nand {
-class NandChip;
-}
-
 namespace swl::tl {
+
+/// Running most-invalid fallback pick (Section 5.1's dynamic wear leveling
+/// under pressure): the offered block with the most invalid pages, ties to
+/// the lowest erase count, then the lowest block index. Offer order does not
+/// matter, so the index walk, the reference scans and DFTL's cross-class
+/// pick all share this one total order.
+struct FallbackPick {
+  BlockIndex block = kInvalidBlock;
+  PageIndex invalid = 0;
+  std::uint32_t erases = 0;
+
+  /// Keeps `b` when it ranks before the current pick and `eligible(b)`
+  /// holds; blocks without an invalid page are never picked. The predicate
+  /// runs last, so a walk over many candidates evaluates it only for the few
+  /// that would become the pick.
+  template <typename Eligible>
+  void offer(const nand::NandChip& chip, BlockIndex b, Eligible&& eligible) {
+    const PageIndex inv = chip.invalid_page_count(b);
+    if (inv < invalid || inv == 0) return;  // no pick yet: invalid == 0
+    const std::uint32_t e = chip.erase_count(b);
+    if (inv == invalid && (e > erases || (e == erases && b > block))) return;
+    if (!eligible(b)) return;
+    block = b;
+    invalid = inv;
+    erases = e;
+  }
+  void offer(const nand::NandChip& chip, BlockIndex b) {
+    offer(chip, b, [](BlockIndex) { return true; });
+  }
+};
 
 class VictimIndex {
  public:
@@ -83,11 +111,30 @@ class VictimIndex {
     return positive_.next_set_cyclic(start);
   }
 
-  /// The most-invalid fallback victim: the block maximizing the live
-  /// invalid-page count, ties broken by the lowest erase count, then the
-  /// lowest block index — the same total order as the reference fallback
-  /// scans. kInvalidBlock when no indexed block has an invalid page.
-  [[nodiscard]] BlockIndex most_invalid(const nand::NandChip& chip) const;
+  /// Calls `f(BlockIndex)` for every block with at least one invalid page,
+  /// in ascending index order.
+  template <typename F>
+  void for_each_candidate(F&& f) const {
+    const std::vector<std::uint64_t>& words = candidate_.words();
+    for (std::size_t wi = 0; wi < words.size(); ++wi) {
+      for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
+        f(static_cast<BlockIndex>(wi * 64 + static_cast<std::size_t>(std::countr_zero(w))));
+      }
+    }
+  }
+
+  /// The most-invalid fallback victim among the blocks `eligible` accepts,
+  /// in FallbackPick's total order. kInvalidBlock when no indexed block has
+  /// an invalid page.
+  template <typename Eligible>
+  [[nodiscard]] BlockIndex most_invalid(const nand::NandChip& chip, Eligible&& eligible) const {
+    FallbackPick pick;
+    for_each_candidate([&](BlockIndex b) { pick.offer(chip, b, eligible); });
+    return pick.block;
+  }
+  [[nodiscard]] BlockIndex most_invalid(const nand::NandChip& chip) const {
+    return most_invalid(chip, [](BlockIndex) { return true; });
+  }
 
  private:
   /// Blocks mutated since the last flush().

@@ -134,6 +134,17 @@ TEST(FtlVictimScanProperty, TinyPoolStormWithLevelerMatches) {
   }
 }
 
+TEST(FtlVictimScanProperty, CostBenefitAgePolicyMatches) {
+  // The cost-benefit-age pick walks the index's candidate mask (blocks with
+  // an invalid page) instead of every block; a tight pool keeps it busy and
+  // the leveler's collections add SWL erases to the same state.
+  for (std::uint64_t seed = 50; seed <= 53; ++seed) {
+    run_workload({.blocks = 12, .pages = 8, .lbas = 72, .weight = 1.0,
+                  .policy = tl::VictimPolicy::cost_benefit_age, .with_leveler = true,
+                  .seed = seed, .writes = 900});
+  }
+}
+
 TEST(FtlVictimScanProperty, HotColdSeparationMatches) {
   // Hot/cold separation adds a third frontier the victim query must skip;
   // the index filters frontiers at selection time, the reference scan

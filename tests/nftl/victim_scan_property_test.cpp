@@ -2,7 +2,7 @@
 //
 // The production greedy policy selects victims through tl::VictimIndex —
 // cached scores flushed from a dirty mask at GC time — and the
-// cost-benefit-age policy skips blocks via the maybe_invalid_ dirty bitmap;
+// cost-benefit-age policy walks only the index's candidate mask;
 // NftlConfig::reference_victim_scan disables both short-cuts and probes the
 // chip for every candidate in the plain two-pass scan. The configurations
 // must pick the same victims in the same order — this test drives identical
