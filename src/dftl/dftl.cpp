@@ -512,9 +512,8 @@ bool Dftl::clean_data_block(BlockIndex victim) {
     bool aborted = false;
     for (std::size_t k = i; k < end; ++k) {
       const Ppa src{victim, live[k].page};
-      const nand::PageReadResult r = chip().read_page(src);
-      SWL_ASSERT(r.status == Status::ok, "valid page unreadable during GC");
-      const Lba lba = r.spare.lba;
+      const nand::SpareArea& spare = chip().spare(src);
+      const Lba lba = spare.lba;
       const std::uint32_t idx = lba % config_.lbas_per_tpage;
       if (entries != nullptr) {
         SWL_ASSERT(unpack_entry(entries[idx]) == src,
@@ -522,14 +521,13 @@ bool Dftl::clean_data_block(BlockIndex victim) {
       } else {
         SWL_ASSERT((*mount_truth_)[lba] == src, "valid page not in the mount truth");
       }
-      const Ppa dst = gc_.program_next(pool_, chip(), /*keep_free=*/0, [&](Ppa to) {
-        class_of_[to.block] = BlockClass::data;
-        const Status st = chip().program_page(
-            to, r.payload_token, nand::SpareArea{lba, ++write_sequence_, 0, r.spare.role},
-            r.data);
-        sync_victim(to.block);
-        return st;
-      });
+      const Ppa dst = gc_.copy_next(
+          pool_, chip(), /*keep_free=*/0, src, lba, spare.role,
+          [this] { return ++write_sequence_; },
+          [this](Ppa to) {
+            class_of_[to.block] = BlockClass::data;
+            sync_victim(to.block);
+          });
       if (!dst.valid()) {
         aborted = true;  // out of destinations (media-error storms / SWL at pressure)
         break;

@@ -54,7 +54,6 @@ void Ftl::init_config() {
   last_write_seq_.assign(geo.block_count, 0);
   gc_trigger_ = tl::gc_trigger_level(config_.gc_trigger_fraction, config_.min_free_blocks,
                                      geo.block_count);
-  bytes_mode_ = chip().config().store_payload_bytes;
   set_fast_paths(&Ftl::fast_write_thunk, &Ftl::fast_read_thunk);
 }
 
@@ -280,36 +279,16 @@ bool Ftl::clean_block(BlockIndex victim) {
   for (PageIndex p = 0; p < geo.pages_per_block; ++p) {
     const Ppa src{victim, p};
     if (chip().page_state(src) != PageState::valid) continue;
-    // Lean copy on token-only chips: peek the spare (free), read just the
-    // token (same tick/counter effects as read_page), skip the result-struct
-    // assembly. Byte-carrying chips go through read_page for r.data.
-    std::uint64_t payload_token;
-    nand::PageRole role;
-    std::span<const std::uint8_t> data;
-    Lba lba;
-    if (bytes_mode_) {
-      const nand::PageReadResult r = chip().read_page(src);
-      SWL_ASSERT(r.status == Status::ok, "valid page unreadable during GC");
-      payload_token = r.payload_token;
-      role = r.spare.role;
-      data = r.data;
-      lba = r.spare.lba;
-    } else {
-      payload_token = chip().read_token(src);
-      const nand::SpareArea& sp = chip().spare(src);
-      role = sp.role;
-      lba = sp.lba;
-    }
+    const nand::SpareArea& spare = chip().spare(src);
+    const Lba lba = spare.lba;
     SWL_ASSERT(lba < config_.lba_count && map_[lba] == src,
                "valid page not referenced by the translation table");
-    const Ppa dst = gc_.program_next(pool_, chip(), /*keep_free=*/0, [&](Ppa to) {
-      // A fresh sequence number: if power is lost between this copy and the
-      // victim's erase, the mount scan must prefer the copy.
-      const Status st = chip().program_page(
-          to, payload_token, nand::SpareArea{lba, ++write_sequence_, 0, role}, data);
-      victims_.mark_dirty(to.block);
-      return st;
-    });
+    // A fresh sequence number per attempt: if power is lost between this
+    // copy and the victim's erase, the mount scan must prefer the copy.
+    const Ppa dst = gc_.copy_next(
+        pool_, chip(), /*keep_free=*/0, src, lba, spare.role,
+        [this] { return ++write_sequence_; },
+        [this](Ppa to) { victims_.mark_dirty(to.block); });
     if (!dst.valid()) {
       // Out of destinations (possible only under media-error storms or SWL
       // collections at extreme pressure): stop here. Pages already relocated

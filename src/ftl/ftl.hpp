@@ -149,8 +149,6 @@ class Ftl final : public tl::TranslationLayer {
   std::vector<std::uint64_t> last_write_seq_;
   // Free-block level below which GC runs (tl::gc_trigger_level).
   BlockIndex gc_trigger_ = 2;
-  // chip().config().store_payload_bytes: GC copies must carry page bytes.
-  bool bytes_mode_ = false;
 };
 
 }  // namespace swl::ftl

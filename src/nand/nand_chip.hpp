@@ -12,11 +12,20 @@
 // for every page, so data-integrity is checked end-to-end in tests) plus the
 // spare-area metadata of Figure 2(a).
 //
-// The per-page primitives (read/program/invalidate and the state accessors)
-// are defined inline below the class: translation layers call them tens of
-// millions of times per simulated year, and cross-TU calls would dominate
-// the replay hot path. Block erase is O(1) via a per-block epoch — see
-// erase_block in the .cpp.
+// Garbage collection moves live pages with copy_pages, a batched copy-back:
+// each op reads a source page, checks that it still holds the LBA the caller
+// expects, and programs it into a destination page with the caller's spare
+// sequence and role, carrying the token and any stored bytes. One op costs
+// exactly what a read followed by program_page costs (same ticks, counters,
+// failure draws and power-loss consultations, in the same order); the batch
+// only saves the translation layer a second pass over the source pages.
+//
+// The per-page primitives (read/program/copy/invalidate and the state
+// accessors) are defined inline below the class: translation layers call
+// them tens of millions of times per simulated year, and cross-TU calls would
+// dominate the replay hot path. program_page and copy_pages share one inline
+// program body. Block erase is O(1) via a per-block epoch — see erase_block
+// in the .cpp.
 #ifndef SWL_NAND_NAND_CHIP_HPP
 #define SWL_NAND_NAND_CHIP_HPP
 
@@ -110,6 +119,36 @@ struct NandCounters {
 /// Spare area an erased (never re-programmed) page reads back as.
 inline constexpr SpareArea kErasedSpare{};
 
+/// One page move of NandChip::copy_pages: `src` must be programmed and carry
+/// spare LBA `lba`; `dst` is programmed with the source's token and bytes
+/// under spare {lba, sequence, role}.
+struct CopyOp {
+  Ppa src;
+  Ppa dst;
+  Lba lba = kInvalidLba;
+  std::uint64_t sequence = 0;
+  PageRole role = PageRole::data;
+};
+
+/// Whether the first op of a copy_pages batch reads its source.
+enum class CopySource : std::uint8_t {
+  /// Every op reads its source page (read timing and counter).
+  read,
+  /// The first op's source is still in the page register from a copy whose
+  /// program failed, so it is not read (nor charged) again — a retry to the
+  /// next destination page.
+  buffered,
+};
+
+/// Outcome of copy_pages: the batch stops at the first op that is not ok.
+struct [[nodiscard]] CopyResult {
+  /// Ops attempted, the failing one included (== ops.size() when all
+  /// succeeded).
+  std::size_t attempted = 0;
+  /// Status of the last op attempted.
+  Status status = Status::ok;
+};
+
 class NandChip {
  public:
   /// Observer invoked after every successful block erase with the block index
@@ -142,6 +181,15 @@ class NandChip {
   /// was configured with store_payload_bytes (ignored otherwise).
   Status program_page(Ppa addr, std::uint64_t payload_token, const SpareArea& spare,
                       std::span<const std::uint8_t> data = {});
+
+  /// Copy-back: runs `ops` in order, each a read of op.src (skipped for the
+  /// first op with CopySource::buffered) followed by a program of op.dst
+  /// with exactly program_page's effects and failure modes. Throws
+  /// InvariantError when a source is not programmed or its spare LBA is not
+  /// op.lba, and PreconditionError on an out-of-range address; stops at the
+  /// first op whose program is not Status::ok.
+  [[nodiscard]] CopyResult copy_pages(std::span<const CopyOp> ops,
+                                      CopySource source = CopySource::read);
 
   /// Erases a block: all pages become free, erase count increments, the
   /// erase observers fire. Fails on retired blocks; an injected erase
@@ -291,6 +339,10 @@ class NandChip {
   [[nodiscard]] std::span<std::uint8_t> arena_slice(const Block& block, PageIndex page) const;
   [[nodiscard]] bool inject_program_failure(BlockIndex block);
   [[nodiscard]] bool inject_erase_failure();
+  /// The page-program body shared by program_page and copy_pages: every
+  /// check and effect after address validation.
+  Status program_checked(Ppa addr, std::uint64_t payload_token, const SpareArea& spare,
+                         std::span<const std::uint8_t> data);
   /// Cold tail of program_page: the byte-storing path.
   void store_page_bytes(Block& block, Page& page, PageIndex page_index,
                         std::span<const std::uint8_t> data);
@@ -362,6 +414,41 @@ inline Status NandChip::program_page(Ppa addr, std::uint64_t payload_token,
   SWL_REQUIRE(data.empty() || data.size() == config_.geometry.page_size_bytes,
               "payload bytes must be exactly one page");
   check_ppa(addr);
+  return program_checked(addr, payload_token, spare, data);
+}
+
+inline CopyResult NandChip::copy_pages(std::span<const CopyOp> ops, CopySource source) {
+  thread_checker_.check("NandChip::copy_pages");
+  bool charge_read = source == CopySource::read;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const CopyOp& op = ops[i];
+    check_ppa(op.src);
+    check_ppa(op.dst);
+    if (charge_read) {
+      tick(config_.timing.read_page_us);
+      ++counters_.reads;
+    }
+    charge_read = true;
+    const Block& src_block = blocks_[op.src.block];
+    const Page& src = page_at(op.src.block, op.src.page);
+    SWL_ASSERT(page_current(src_block, src) && src.state != PageState::free,
+               "copy source is not programmed");
+    SWL_ASSERT(src.spare.lba == op.lba, "copy source's spare LBA is not the expected one");
+    // A programmed source is current, so the destination (a different,
+    // programmable page) never aliases it; the byte view stays valid because
+    // an arena, once allocated, is never moved.
+    const Status st = program_checked(
+        op.dst, src.payload, SpareArea{op.lba, op.sequence, 0, op.role},
+        src.has_data ? std::span<const std::uint8_t>(arena_slice(src_block, op.src.page))
+                     : std::span<const std::uint8_t>{});
+    if (st != Status::ok) return {i + 1, st};
+  }
+  return {ops.size(), Status::ok};
+}
+
+inline Status NandChip::program_checked(Ppa addr, std::uint64_t payload_token,
+                                        const SpareArea& spare,
+                                        std::span<const std::uint8_t> data) {
   Block& block = blocks_[addr.block];
   if (block.retired) return Status::bad_block;
   Page& page = page_at(addr.block, addr.page);

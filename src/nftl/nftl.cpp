@@ -50,7 +50,7 @@ void Nftl::init_config() {
   last_write_seq_.assign(geo.block_count, 0);
   gc_trigger_ = tl::gc_trigger_level(config_.gc_trigger_fraction, config_.min_free_blocks,
                                      geo.block_count);
-  bytes_mode_ = chip().config().store_payload_bytes;
+  fold_ops_.reserve(geo.pages_per_block);
   set_fast_paths(&Nftl::fast_write_thunk, &Nftl::fast_read_thunk);
 }
 
@@ -344,53 +344,31 @@ bool Nftl::fold(Vba vba) {
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (pool_.empty()) return false;  // no destination block available
     const BlockIndex fresh = allocate_block(vba);
-    // Two-phase: copy everything first, commit the version index only when
-    // the whole block succeeded — a failed program abandons `fresh` without
-    // ever publishing pointers into it. The per-offset table is a member
-    // scratch so the (hot) fold path does not allocate.
-    fold_scratch_.assign(pages, kInvalidPpa);
-    bool copied_all = true;
+    // Two-phase: one copy-back batch moves every live offset to the same page
+    // of `fresh`, and the op table is committed to the version index only
+    // when the whole batch succeeded — a failed program abandons `fresh`
+    // without ever publishing pointers into it. Fresh sequences: a crash
+    // between the fold and the erase of the old pair must resolve in favor
+    // of the folded copies at mount time.
+    fold_ops_.clear();
     for (PageIndex offset = 0; offset < pages; ++offset) {
       const Ppa cur = latest_[base + offset];
       if (!cur.valid()) continue;
-      // Lean copy on token-only chips: peek the spare (free), read just the
-      // token (same tick/counter effects as read_page). Byte-carrying chips
-      // go through read_page for r.data.
-      std::uint64_t payload_token;
-      std::span<const std::uint8_t> data;
-      if (bytes_mode_) {
-        const nand::PageReadResult r = chip().read_page(cur);
-        SWL_ASSERT(r.status == Status::ok, "current version unreadable during fold");
-        payload_token = r.payload_token;
-        data = r.data;
-      } else {
-        payload_token = chip().read_token(cur);
-      }
-      SWL_ASSERT(chip().spare(cur).lba == base + offset,
-                 "spare-area LBA does not match the version index");
-      // Fresh sequence: a crash between the fold and the erase of the old
-      // pair must resolve in favor of the folded copies at mount time.
-      const Status st = chip().program_page(
-          Ppa{fresh, offset}, payload_token,
-          nand::SpareArea{base + offset, ++write_sequence_, 0, nand::PageRole::primary},
-          data);
-      victims_.mark_dirty(fresh);
-      if (st != Status::ok) {
-        SWL_ASSERT(st == Status::program_failed, "fold destination page was not programmable");
-        copied_all = false;
-        break;
-      }
-      count_live_copy();  // real work even if this attempt is abandoned
-      last_write_seq_[fresh] = write_sequence_;
-      fold_scratch_[offset] = Ppa{fresh, offset};
+      fold_ops_.push_back({cur, Ppa{fresh, offset}, base + offset,
+                           write_sequence_ + fold_ops_.size() + 1, nand::PageRole::primary});
     }
-    if (!copied_all) {
+    const nand::CopyResult r = chip().copy_pages(fold_ops_);
+    write_sequence_ += r.attempted;
+    if (r.attempted > 0) victims_.mark_dirty(fresh);
+    const std::size_t copied = r.status == Status::ok ? r.attempted : r.attempted - 1;
+    count_live_copy(copied);  // real work even if this attempt is abandoned
+    if (copied > 0) last_write_seq_[fresh] = fold_ops_[copied - 1].sequence;
+    if (r.status != Status::ok) {
+      SWL_ASSERT(r.status == Status::program_failed, "fold destination page was not programmable");
       release_block(fresh);  // erase (or retire) the abandoned block, retry
       continue;
     }
-    for (PageIndex offset = 0; offset < pages; ++offset) {
-      if (fold_scratch_[offset].valid()) latest_[base + offset] = fold_scratch_[offset];
-    }
+    for (const nand::CopyOp& op : fold_ops_) latest_[op.lba] = op.dst;
     vmap_[vba].primary = fresh;
     vmap_[vba].replacement = kInvalidBlock;
     vmap_[vba].replacement_next = 0;

@@ -6,10 +6,14 @@
 // Overwrites go sequentially into the VBA's *replacement* block. When the
 // replacement block fills up, the valid pages of the pair are merged (folded)
 // into a freshly allocated primary block and both old blocks are erased.
-// Garbage collection folds the pair owning the victim block that the shared
+// A fold moves the pair's live pages with one NandChip::copy_pages batch
+// (one copy-back op per live offset, read and program in one pass over the
+// sources); the op table doubles as the fold's commit table. Garbage
+// collection folds the pair owning the victim block that the shared
 // tl::VictimSelector picks among owned blocks (the greedy cyclic scan of
-// Section 5.1); the layer itself keeps the VBA tables, the fold and every
-// erase. The SW Leveler drives the same fold machinery.
+// Section 5.1, whose most-invalid fallback is answered from the index's
+// per-invalid-count bitsets); the layer itself keeps the VBA tables, the
+// fold and every erase. The SW Leveler drives the same fold machinery.
 #ifndef SWL_NFTL_NFTL_HPP
 #define SWL_NFTL_NFTL_HPP
 
@@ -165,11 +169,11 @@ class Nftl final : public tl::TranslationLayer {
   std::vector<std::uint64_t> last_write_seq_;
   // Free-block level below which GC runs (tl::gc_trigger_level).
   BlockIndex gc_trigger_ = 2;
-  // chip().config().store_payload_bytes: fold copies must carry page bytes.
-  bool bytes_mode_ = false;
-  // Per-fold new-location table, reused across folds (fold never re-enters
-  // itself: release_block only fires erase observers, which never fold).
-  std::vector<Ppa> fold_scratch_;
+  // The fold's copy-back batch, which doubles as its commit table (each op
+  // carries the LBA and its new page); reused across folds, which never
+  // re-enter themselves (release_block only fires erase observers, which
+  // never fold).
+  std::vector<nand::CopyOp> fold_ops_;
 
   static constexpr Vba kInvalidVba = static_cast<Vba>(-1);
 };

@@ -1,6 +1,7 @@
 // Write frontiers: the open blocks a page-mapping layer programs
-// sequentially (host writes, GC copies, hot data, translation pages), and
-// their re-adoption by a mount scan.
+// sequentially (host writes, GC copies, hot data, translation pages), the
+// copy-back relocation of a live page onto one, and their re-adoption by a
+// mount scan.
 #ifndef SWL_TL_FRONTIER_HPP
 #define SWL_TL_FRONTIER_HPP
 
@@ -65,6 +66,33 @@ struct Frontier {
       if (st == Status::ok) return dst;
       SWL_ASSERT(st == Status::program_failed, "frontier page was not programmable");
     }
+  }
+
+  /// Relocates the programmed page `src`, which must carry spare LBA `lba`,
+  /// to the page program_next picks, through one-op NandChip::copy_pages
+  /// calls: `sequence()` numbers each attempt and `copied(Ppa)` runs after
+  /// each, failed ones included. The source is read once — a retry after a
+  /// failed program reprograms from the page register
+  /// (CopySource::buffered) — and that read is charged even when no block
+  /// can be opened, because a relocation buffers its source before it seeks
+  /// a destination.
+  template <typename Sequence, typename Copied>
+  Ppa copy_next(FreeBlockPool& pool, nand::NandChip& chip, std::size_t keep_free, Ppa src,
+                Lba lba, nand::PageRole role, Sequence&& sequence, Copied&& copied) {
+    nand::CopySource source = nand::CopySource::read;
+    const Ppa dst = program_next(pool, chip, keep_free, [&](Ppa to) {
+      const nand::CopyOp op{src, to, lba, sequence(), role};
+      const Status st = chip.copy_pages({&op, 1}, source).status;
+      source = nand::CopySource::buffered;
+      copied(to);
+      return st;
+    });
+    if (!dst.valid() && source == nand::CopySource::read) {
+      // Benign discard: the read only charges the buffered source; the
+      // caller aborts its relocation.
+      discard_status(chip.read_page(src).status);
+    }
+    return dst;
   }
 };
 

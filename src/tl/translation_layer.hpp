@@ -152,12 +152,13 @@ class TranslationLayer : public wear::Cleaner {
   /// Implementation of the Cleaner request (garbage collect specific blocks).
   virtual void do_collect_blocks(BlockIndex first, BlockIndex count) = 0;
 
-  /// Implementations call this for every live page they relocate.
-  void count_live_copy() noexcept {
+  /// Implementations call this for every live page they relocate (or once
+  /// with the size of a relocated batch).
+  void count_live_copy(std::uint64_t copies = 1) noexcept {
     if (serving_swl_) {
-      ++counters_.swl_live_copies;
+      counters_.swl_live_copies += copies;
     } else {
-      ++counters_.gc_live_copies;
+      counters_.gc_live_copies += copies;
     }
   }
 

@@ -10,6 +10,12 @@ VictimIndex::VictimIndex(BlockIndex block_count, PageIndex pages_per_block, doub
     : dirty_(block_count),
       positive_(block_count),
       candidate_(block_count),
+      refile_((static_cast<std::size_t>(block_count) + 63) / 64, 0),
+      words_per_level_((static_cast<std::size_t>(block_count) + 63) / 64),
+      by_invalid_((static_cast<std::size_t>(pages_per_block) + 1) * words_per_level_, 0),
+      level_size_(static_cast<std::size_t>(pages_per_block) + 1, 0),
+      nonempty_(static_cast<std::size_t>(pages_per_block) + 1),
+      level_(block_count, 0),
       min_invalid_(static_cast<std::size_t>(pages_per_block) + 1, pages_per_block + 1),
       block_count_(block_count) {
   SWL_REQUIRE(block_count > 0 && pages_per_block > 0, "empty victim index");
@@ -31,6 +37,7 @@ void VictimIndex::flush(const nand::NandChip& chip) {
   const std::vector<std::uint64_t>& words = dirty_.words();
   for (std::size_t wi = 0; wi < words.size(); ++wi) {
     std::uint64_t w = words[wi];
+    refile_[wi] |= w;
     while (w != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(w));
       w &= w - 1;

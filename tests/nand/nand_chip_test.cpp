@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "core/contracts.hpp"
 
 namespace swl::nand {
@@ -295,6 +299,287 @@ TEST(NandChip, OutOfRangeAddressesThrow) {
   EXPECT_THROW((void)chip.read_page({0, 4}), PreconditionError);
   EXPECT_THROW((void)chip.erase_block(8), PreconditionError);
   EXPECT_THROW((void)chip.program_page({9, 9}, 0, SpareArea{}), PreconditionError);
+}
+
+// -- copy-back ---------------------------------------------------------------
+//
+// copy_pages must be indistinguishable from a read_page + program_page pair
+// per op. Each test drives twin chips, one through copy_pages and one through
+// that pair, and compares everything the chip exposes.
+
+NandConfig copy_config(bool bytes, double program_fail_p = 0.0, std::uint64_t seed = 1) {
+  NandConfig c;
+  c.geometry = FlashGeometry{.block_count = 8, .pages_per_block = 8, .page_size_bytes = 64};
+  c.timing = default_timing(CellType::mlc_x2);
+  c.store_payload_bytes = bytes;
+  c.failures.program_fail_p = program_fail_p;
+  c.failures.seed = seed;
+  return c;
+}
+
+/// A chip with its own clock.
+struct Rig {
+  SimClock clock;
+  NandChip chip;
+  explicit Rig(const NandConfig& c) : chip(c, &clock) {}
+};
+
+/// Programs pages 0-5 of blocks 0-2 (every third one then invalidated, since
+/// GC may copy any programmed page the caller still maps). A failed program
+/// just leaves its page consumed.
+void fill_sources(NandChip& chip) {
+  for (BlockIndex b = 0; b < 3; ++b) {
+    for (PageIndex p = 0; p < 6; ++p) {
+      const Lba lba = b * 100 + p;
+      const std::vector<std::uint8_t> bytes(64, static_cast<std::uint8_t>(lba));
+      const std::span<const std::uint8_t> data =
+          chip.config().store_payload_bytes ? std::span<const std::uint8_t>(bytes)
+                                            : std::span<const std::uint8_t>{};
+      const Status st = chip.program_page({b, p}, 0x1000 + lba,
+                                          SpareArea{lba, lba, 0, PageRole::replacement}, data);
+      if (st == Status::ok && p % 3 == 1) {
+        ASSERT_EQ(chip.invalidate_page({b, p}), Status::ok);
+      }
+    }
+  }
+}
+
+/// One op per readable source, interleaving blocks 0-2 and filling blocks 5
+/// and up in page order.
+std::vector<CopyOp> make_ops(const NandChip& chip) {
+  std::vector<CopyOp> ops;
+  BlockIndex dst_block = 5;
+  PageIndex next = 0;
+  for (PageIndex p = 0; p < 6; ++p) {
+    for (BlockIndex b = 0; b < 3; ++b) {
+      const Ppa src{b, p};
+      if (chip.page_state(src) == PageState::free || chip.spare(src).lba == kInvalidLba) continue;
+      if (next == 8) {
+        ++dst_block;
+        next = 0;
+      }
+      ops.push_back({src, Ppa{dst_block, next++}, chip.spare(src).lba, 500 + ops.size(),
+                     PageRole::primary});
+    }
+  }
+  return ops;
+}
+
+/// The twin: each op as read_page followed by program_page. Keeps the last
+/// read, which a retry after a failed program reprograms.
+struct ReadThenProgram {
+  PageReadResult last;
+
+  CopyResult operator()(NandChip& chip, std::span<const CopyOp> ops) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      last = chip.read_page(ops[i].src);
+      EXPECT_EQ(last.status, Status::ok);
+      const Status st = reprogram(chip, ops[i]);
+      if (st != Status::ok) return {i + 1, st};
+    }
+    return {ops.size(), Status::ok};
+  }
+  Status reprogram(NandChip& chip, const CopyOp& op) const {
+    return chip.program_page(op.dst, last.payload_token,
+                             SpareArea{op.lba, op.sequence, 0, op.role}, last.data);
+  }
+};
+
+/// Asserts that the twins agree on counters, clock, and every page's state,
+/// spare (ECC included), token and bytes.
+void expect_same(Rig& a, Rig& b) {
+  const NandCounters& ca = a.chip.counters();
+  const NandCounters& cb = b.chip.counters();
+  EXPECT_EQ(ca.reads, cb.reads);
+  EXPECT_EQ(ca.programs, cb.programs);
+  EXPECT_EQ(ca.erases, cb.erases);
+  EXPECT_EQ(ca.program_failures, cb.program_failures);
+  EXPECT_EQ(ca.erase_failures, cb.erase_failures);
+  EXPECT_EQ(ca.payload_arena_allocations, cb.payload_arena_allocations);
+  EXPECT_EQ(a.clock.now(), b.clock.now());
+  for (BlockIndex blk = 0; blk < 8; ++blk) {
+    EXPECT_EQ(a.chip.valid_page_count(blk), b.chip.valid_page_count(blk));
+    EXPECT_EQ(a.chip.invalid_page_count(blk), b.chip.invalid_page_count(blk));
+    for (PageIndex p = 0; p < 8; ++p) {
+      const Ppa addr{blk, p};
+      SCOPED_TRACE(::testing::Message() << "page " << blk << "/" << p);
+      ASSERT_EQ(a.chip.page_state(addr), b.chip.page_state(addr));
+      EXPECT_EQ(a.chip.spare(addr), b.chip.spare(addr));
+      if (a.chip.page_state(addr) == PageState::free) continue;
+      const PageReadResult ra = a.chip.read_page(addr);
+      const PageReadResult rb = b.chip.read_page(addr);
+      EXPECT_EQ(ra.payload_token, rb.payload_token);
+      EXPECT_TRUE(std::equal(ra.data.begin(), ra.data.end(), rb.data.begin(), rb.data.end()));
+    }
+  }
+}
+
+TEST(NandChipCopyPages, MatchesReadThenProgram) {
+  for (const bool bytes : {false, true}) {
+    SCOPED_TRACE(bytes ? "byte-carrying chip" : "token-only chip");
+    Rig a(copy_config(bytes));
+    Rig b(copy_config(bytes));
+    fill_sources(a.chip);
+    fill_sources(b.chip);
+    const std::vector<CopyOp> ops = make_ops(a.chip);
+    ASSERT_EQ(ops.size(), 18u);
+    const CopyResult ra = a.chip.copy_pages(ops);
+    const CopyResult rb = ReadThenProgram{}(b.chip, ops);
+    EXPECT_EQ(ra.attempted, ops.size());
+    EXPECT_EQ(ra.status, Status::ok);
+    EXPECT_EQ(rb.attempted, ops.size());
+    // The copies carry the source's token and bytes under the caller's spare.
+    EXPECT_EQ(a.chip.read_page(ops[4].dst).payload_token, 0x1000u + ops[4].lba);
+    EXPECT_EQ(a.chip.spare(ops[4].dst).sequence, ops[4].sequence);
+    EXPECT_EQ(a.chip.spare(ops[4].dst).role, PageRole::primary);
+    EXPECT_EQ(b.chip.read_page(ops[4].dst).payload_token, 0x1000u + ops[4].lba);
+    EXPECT_EQ(a.chip.counters().payload_arena_allocations, bytes ? 6u : 0u);
+    expect_same(a, b);
+  }
+}
+
+TEST(NandChipCopyPages, MatchesReadThenProgramUnderProgramFailures) {
+  int mid_batch_failures = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const bool bytes = seed % 2 == 0;
+    Rig a(copy_config(bytes, 0.15, seed));
+    Rig b(copy_config(bytes, 0.15, seed));
+    fill_sources(a.chip);
+    fill_sources(b.chip);
+    const std::vector<CopyOp> ops = make_ops(a.chip);
+    ASSERT_EQ(make_ops(b.chip).size(), ops.size());
+    ReadThenProgram twin;
+    const CopyResult ra = a.chip.copy_pages(ops);
+    const CopyResult rb = twin(b.chip, ops);
+    ASSERT_EQ(ra.attempted, rb.attempted);
+    ASSERT_EQ(ra.status, rb.status);
+    expect_same(a, b);
+    if (ra.status != Status::program_failed) continue;
+    // The failed op consumed its destination page on both chips.
+    const CopyOp& failed = ops[ra.attempted - 1];
+    EXPECT_EQ(a.chip.page_state(failed.dst), PageState::invalid);
+    EXPECT_EQ(a.chip.spare(failed.dst).lba, kInvalidLba);
+    if (ra.attempted > 1 && ra.attempted < ops.size()) ++mid_batch_failures;
+    // The next op retries the failed source on a fresh page from the page
+    // register (no second read), exactly as a reprogram of the last read.
+    CopyOp retry = failed;
+    retry.dst = Ppa{4, 0};
+    const CopyResult na = a.chip.copy_pages({&retry, 1}, CopySource::buffered);
+    const Status nb = twin.reprogram(b.chip, retry);
+    EXPECT_EQ(na.attempted, 1u);
+    EXPECT_EQ(na.status, nb);
+    expect_same(a, b);
+  }
+  EXPECT_GT(mid_batch_failures, 0);
+}
+
+/// Cuts power at the `at`-th program consultation (0-based).
+class CutAt final : public PowerLossHook {
+ public:
+  CutAt(std::size_t at, CrashDecision how) : at_(at), how_(how) {}
+  CrashDecision on_operation(CrashOp op) override {
+    if (op != CrashOp::program) return CrashDecision::proceed;
+    return seen_++ == at_ ? how_ : CrashDecision::proceed;
+  }
+
+ private:
+  std::size_t at_;
+  CrashDecision how_;
+  std::size_t seen_ = 0;
+};
+
+TEST(NandChipCopyPages, PowerCutLeavesTheSameTornState) {
+  for (const CrashDecision how : {CrashDecision::cut_before, CrashDecision::cut_during}) {
+    for (std::size_t k = 0; k < 18; k += 5) {
+      SCOPED_TRACE(::testing::Message()
+                   << (how == CrashDecision::cut_before ? "cut_before" : "cut_during") << " at op "
+                   << k);
+      Rig a(copy_config(true));
+      Rig b(copy_config(true));
+      fill_sources(a.chip);
+      fill_sources(b.chip);
+      const std::vector<CopyOp> ops = make_ops(a.chip);
+      CutAt cut_a(k, how);
+      CutAt cut_b(k, how);
+      a.chip.set_power_loss_hook(&cut_a);
+      b.chip.set_power_loss_hook(&cut_b);
+      EXPECT_THROW((void)a.chip.copy_pages(ops), PowerLossError);
+      EXPECT_THROW((void)ReadThenProgram{}(b.chip, ops), PowerLossError);
+      a.chip.set_power_loss_hook(nullptr);
+      b.chip.set_power_loss_hook(nullptr);
+      // Ops before k landed, op k is free (cut_before) or torn (cut_during).
+      EXPECT_EQ(a.chip.page_state(ops[k].dst),
+                how == CrashDecision::cut_before ? PageState::free : PageState::invalid);
+      if (k > 0) {
+        EXPECT_EQ(a.chip.spare(ops[k - 1].dst).sequence, ops[k - 1].sequence);
+      }
+      expect_same(a, b);
+    }
+  }
+}
+
+TEST(NandChipCopyPages, BufferedSourceSkipsOnlyTheFirstRead) {
+  Rig rig(copy_config(false));
+  fill_sources(rig.chip);
+  const std::vector<CopyOp> ops = make_ops(rig.chip);
+  const NandCounters before = rig.chip.counters();
+  const SimTime t0 = rig.clock.now();
+  const CopyResult r = rig.chip.copy_pages({ops.data(), 3}, CopySource::buffered);
+  EXPECT_EQ(r.attempted, 3u);
+  EXPECT_EQ(r.status, Status::ok);
+  EXPECT_EQ(rig.chip.counters().reads, before.reads + 2);
+  EXPECT_EQ(rig.chip.counters().programs, before.programs + 3);
+  const NandTiming& t = rig.chip.timing();
+  EXPECT_EQ(rig.clock.now(), t0 + 2 * t.read_page_us + 3 * t.program_page_us);
+}
+
+TEST(NandChipCopyPages, WrongSourceLbaThrowsBeforeProgramming) {
+  Rig rig(copy_config(false));
+  fill_sources(rig.chip);
+  std::vector<CopyOp> ops = make_ops(rig.chip);
+  ops[0].lba += 1;
+  const std::uint64_t programs = rig.chip.counters().programs;
+  EXPECT_THROW((void)rig.chip.copy_pages(ops), InvariantError);
+  EXPECT_EQ(rig.chip.counters().programs, programs);
+  EXPECT_EQ(rig.chip.page_state(ops[0].dst), PageState::free);
+  // A free source is not programmed: same failure.
+  const CopyOp from_free{Ppa{3, 0}, Ppa{4, 0}, 0, 1, PageRole::data};
+  EXPECT_THROW((void)rig.chip.copy_pages({&from_free, 1}), InvariantError);
+  EXPECT_EQ(rig.chip.counters().programs, programs);
+}
+
+TEST(NandChipCopyPages, RetiredDestinationChargesOnlyTheRead) {
+  NandConfig c = copy_config(false);
+  c.timing.endurance = 1;
+  c.retire_worn_blocks = true;
+  Rig rig(c);
+  fill_sources(rig.chip);
+  ASSERT_EQ(rig.chip.erase_block(4), Status::ok);
+  ASSERT_EQ(rig.chip.erase_block(4), Status::block_worn_out);
+  ASSERT_TRUE(rig.chip.is_retired(4));
+  const NandCounters before = rig.chip.counters();
+  const SimTime t0 = rig.clock.now();
+  const std::vector<CopyOp> ops = make_ops(rig.chip);
+  const CopyOp op{ops[0].src, Ppa{4, 0}, ops[0].lba, 9, PageRole::data};
+  const CopyResult r = rig.chip.copy_pages({&op, 1});
+  EXPECT_EQ(r.attempted, 1u);
+  EXPECT_EQ(r.status, Status::bad_block);
+  EXPECT_EQ(rig.chip.counters().reads, before.reads + 1);
+  EXPECT_EQ(rig.chip.counters().programs, before.programs);
+  EXPECT_EQ(rig.clock.now(), t0 + rig.chip.timing().read_page_us);
+}
+
+TEST(NandChipCopyPages, OutOfRangeOpsThrow) {
+  Rig rig(copy_config(false));
+  fill_sources(rig.chip);
+  const NandCounters before = rig.chip.counters();
+  const CopyOp bad_src{Ppa{8, 0}, Ppa{4, 0}, 0, 1, PageRole::data};
+  const CopyOp bad_dst{Ppa{0, 0}, Ppa{4, 8}, 0, 1, PageRole::data};
+  EXPECT_THROW((void)rig.chip.copy_pages({&bad_src, 1}), PreconditionError);
+  EXPECT_THROW((void)rig.chip.copy_pages({&bad_dst, 1}), PreconditionError);
+  EXPECT_EQ(rig.chip.counters().reads, before.reads);
+  EXPECT_EQ(rig.chip.counters().programs, before.programs);
 }
 
 TEST(NandChip, RejectsInvalidConfig) {
