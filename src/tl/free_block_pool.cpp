@@ -1,5 +1,7 @@
 #include "tl/free_block_pool.hpp"
 
+#include <algorithm>
+
 #include "core/contracts.hpp"
 
 namespace swl::tl {
@@ -42,18 +44,11 @@ BlockIndex FreeBlockPool::take() {
     block = it->second;
     ordered_.erase(it);
   } else if (policy_ == AllocPolicy::fifo) {
-    // Skip entries removed out of band (lazy deletion).
-    while (true) {
-      block = queue_.front();
-      queue_.pop_front();
-      if (key_of_[block] != kNotPooled) break;
-    }
+    block = queue_.front();
+    queue_.pop_front();
   } else {  // lifo
-    while (true) {
-      block = queue_.back();
-      queue_.pop_back();
-      if (key_of_[block] != kNotPooled) break;
-    }
+    block = queue_.back();
+    queue_.pop_back();
   }
   key_of_[block] = kNotPooled;
   --count_;
@@ -65,8 +60,10 @@ void FreeBlockPool::remove(BlockIndex block) {
   SWL_REQUIRE(key_of_[block] != kNotPooled, "block not pooled");
   if (policy_ == AllocPolicy::coldest_first) {
     ordered_.erase({key_of_[block], block});
+  } else {
+    // Erased eagerly, so a block re-added later queues at its new position.
+    queue_.erase(std::find(queue_.begin(), queue_.end(), block));
   }
-  // fifo: the stale queue entry is skipped lazily by take().
   key_of_[block] = kNotPooled;
   --count_;
 }

@@ -58,7 +58,7 @@ class FreeBlockPool {
   AllocPolicy policy_;
   // coldest_first: (erase_count, block) ordered set -> O(log n) allocation.
   std::set<std::pair<std::uint32_t, BlockIndex>> ordered_;
-  // fifo/lifo: freed order; lazily-deleted entries are skipped on take().
+  // fifo/lifo: pooled blocks in freed order (remove() erases the entry).
   std::deque<BlockIndex> queue_;
   // erase count under which each pooled block is keyed; kNotPooled otherwise.
   std::vector<std::uint32_t> key_of_;
