@@ -185,9 +185,48 @@ TEST(SwLeveler, StallGuardStopsFruitlessScans) {
   SwLeveler lev(8, config(2));
   NoopCleaner cleaner;
   for (int i = 0; i < 100; ++i) lev.on_block_erased(0);
-  lev.run(cleaner);  // cleaner never erases: must terminate via stall guard
-  EXPECT_GE(lev.stats().stalls, 1u);
-  EXPECT_GE(cleaner.calls, 1);
+  // The cleaner never erases: each run() gives up after exactly one full
+  // scan of the BET, flag_count no-progress collections.
+  const auto flags = lev.bet().flag_count();
+  lev.run(cleaner);
+  EXPECT_EQ(lev.stats().stalls, 1u);
+  EXPECT_EQ(lev.stats().collections_requested, flags);
+  EXPECT_EQ(cleaner.calls, static_cast<int>(flags));
+  lev.run(cleaner);
+  EXPECT_EQ(lev.stats().stalls, 2u);
+  EXPECT_EQ(lev.stats().collections_requested, 2 * flags);
+}
+
+TEST(SwLeveler, StallGuardWaitsForAFullScan) {
+  // Skips the first flag_count - 1 selected sets (e.g. each holds the write
+  // frontier), then erases every set it is handed. One run() must reach the
+  // set that can be erased instead of giving up early.
+  class LateCleaner : public Cleaner {
+   public:
+    LateCleaner(SwLeveler& lev, std::size_t skips) : lev_(lev), skips_(skips) {}
+    void collect_blocks(BlockIndex first, BlockIndex count) override {
+      if (skips_ > 0) {
+        --skips_;
+        return;
+      }
+      for (BlockIndex b = first; b < first + count; ++b) {
+        collected.push_back(b);
+        lev_.on_block_erased(b);
+      }
+    }
+    std::vector<BlockIndex> collected;
+
+   private:
+    SwLeveler& lev_;
+    std::size_t skips_;
+  };
+  SwLeveler lev(8, config(2));
+  for (int i = 0; i < 100; ++i) lev.on_block_erased(0);
+  LateCleaner cleaner(lev, lev.bet().flag_count() - 1);
+  lev.run(cleaner);
+  EXPECT_EQ(lev.stats().stalls, 0u);
+  EXPECT_FALSE(cleaner.collected.empty());
+  EXPECT_GT(lev.stats().collections_requested, lev.bet().flag_count() - 1);
 }
 
 TEST(SwLeveler, ReentrantRunIsIgnored) {
