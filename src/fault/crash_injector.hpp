@@ -35,7 +35,6 @@ class CrashInjector final : public nand::PowerLossHook {
     armed_ = true;
     crash_point_ = crash_point;
   }
-  void disarm() noexcept { armed_ = false; }
 
   /// Persistent operations observed so far (a probe run's total).
   [[nodiscard]] std::uint64_t operations() const noexcept { return operations_; }

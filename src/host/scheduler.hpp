@@ -275,7 +275,6 @@ class HostScheduler {
   [[nodiscard]] const ShardCounters& shard_counters(unsigned shard) const noexcept {
     return shards_[shard]->counters;
   }
-  [[nodiscard]] std::size_t queue_pair_count() const noexcept { return queue_pairs_.size(); }
   [[nodiscard]] QueuePair& queue_pair(std::size_t i) noexcept { return *queue_pairs_[i]; }
   [[nodiscard]] const HostConfig& config() const noexcept { return config_; }
 

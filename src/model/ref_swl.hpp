@@ -61,9 +61,7 @@ class RefSwLeveler final : public wear::LevelerTraceSink {
   [[nodiscard]] std::uint64_t fcnt() const;
   [[nodiscard]] double unevenness() const;
   [[nodiscard]] bool needs_leveling() const;
-  [[nodiscard]] std::size_t expected_findex() const noexcept { return expected_findex_; }
   [[nodiscard]] std::size_t flag_count() const noexcept { return flag_count_; }
-  [[nodiscard]] const std::vector<BlockIndex>& erase_log() const noexcept { return erase_log_; }
 
  private:
   [[nodiscard]] std::size_t flag_of(BlockIndex block) const noexcept { return block >> k_; }

@@ -35,10 +35,6 @@ class ThreadPool {
   /// Enqueues a task; it runs on some worker, in FIFO dispatch order.
   void submit(std::function<void()> task) EXCLUDES(mu_);
 
-  [[nodiscard]] unsigned thread_count() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
-
  private:
   void worker_loop() EXCLUDES(mu_);
 

@@ -185,9 +185,6 @@ class TranslationLayer : public wear::Cleaner {
   /// older; the losing page is invalidated on the chip.
   void keep_newest(Ppa& winner, std::uint64_t& winner_seq, Ppa addr, std::uint64_t seq);
 
-  /// True while serving an SWL collection request.
-  [[nodiscard]] bool serving_swl() const noexcept { return serving_swl_; }
-
  private:
   nand::NandChip& chip_;
   std::unique_ptr<wear::Leveler> leveler_;
