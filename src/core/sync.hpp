@@ -16,6 +16,7 @@
 #define SWL_CORE_SYNC_HPP
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -87,6 +88,14 @@ class CondVar {
   std::condition_variable cv_;
 };
 
+/// The processor's spin-loop hint (`pause` on x86-64; nothing elsewhere).
+void cpu_relax() noexcept;
+
+/// The CPUs this process may run on: the size of its affinity mask where the
+/// platform reports one, else std::thread::hardware_concurrency(), and never
+/// less than 1.
+[[nodiscard]] unsigned usable_cpu_count() noexcept;
+
 /// Futex-style parking for lock-free producer/consumer rings (an event count).
 ///
 /// The problem it solves: a consumer draining a lock-free ring must sleep
@@ -112,11 +121,51 @@ class CondVar {
 /// Spurious wakeups are allowed (wait() may return without a notify());
 /// callers always re-check their condition in a loop. Supports any number of
 /// concurrent waiters; notify() wakes them all.
+///
+/// Most callers want await(), which runs the whole dance — after an optional
+/// wall-clock-bounded spin — behind one call.
 class EventCount {
  public:
   EventCount() = default;
   EventCount(const EventCount&) = delete;
   EventCount& operator=(const EventCount&) = delete;
+
+  /// Blocks until `ready()` returns true, and never calls it again after
+  /// that, so `ready` may claim what it finds (a ring slot, say).
+  ///
+  /// First polls `ready()` for up to `spin` of wall time: a hand-off that
+  /// lands inside that window costs a few loads instead of a thread
+  /// wake-up. Then it parks with the prepare / re-check / cancel / wait
+  /// protocol, in a loop, so a notify() after the window still wakes it.
+  /// A zero `spin` parks at once. Returns how many times the caller slept in
+  /// wait() (0 when the spin or a re-check found `ready()` true).
+  template <typename Ready>
+  std::uint64_t await(Ready&& ready, std::chrono::nanoseconds spin) {
+    if (ready()) return 0;
+    if (spin.count() > 0) {
+      // The clock is read once per few polls: a poll is a handful of loads
+      // and one pause, a clock read costs about as much as several of them.
+      constexpr int kPollsPerClockRead = 8;
+      const auto deadline = std::chrono::steady_clock::now() + spin;
+      do {
+        for (int i = 0; i < kPollsPerClockRead; ++i) {
+          cpu_relax();
+          if (ready()) return 0;
+        }
+      } while (std::chrono::steady_clock::now() < deadline);
+    }
+    std::uint64_t parks = 0;
+    for (;;) {
+      const std::uint64_t ticket = prepare_wait();
+      if (ready()) {
+        cancel_wait();
+        return parks;
+      }
+      wait(ticket);
+      ++parks;
+      if (ready()) return parks;
+    }
+  }
 
   /// Phase 1 of waiting: announce intent and take a ticket. The caller must
   /// re-check its wakeup condition after this call and either cancel_wait()

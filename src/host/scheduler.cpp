@@ -74,25 +74,17 @@ Status QueuePair::submit(OpKind op, SectorIndex first, std::uint64_t value,
   r.submit_ns = now_ns();
 
   HostScheduler::Shard& sh = *sched_.shards_[r.shard];
-  bool pushed = sh.ring.try_push(&r);
-  while (!pushed) {
+  if (!sh.ring.try_push(&r)) {
     if (mode == SubmitMode::try_once) {
       free_slots_.push_back(slot);
       ++counters_.would_blocks;
       return Status::busy;
     }
     ++counters_.ring_full_waits;
-    const std::uint64_t ticket = sh.space_ec.prepare_wait();
-    pushed = sh.ring.try_push(&r);
-    if (pushed) {
-      sh.space_ec.cancel_wait();
-      break;
-    }
-    // Make sure the consumer is awake to drain before we park: our earlier
+    // Make sure the consumer is awake to drain before we wait: our earlier
     // pushes may have raced with its empty-check.
     sh.work_ec.notify();
-    sh.space_ec.wait(ticket);
-    pushed = sh.ring.try_push(&r);
+    sh.space_ec.await([&] { return sh.ring.try_push(&r); }, sched_.spin_);
   }
   sh.work_ec.notify();
   ++counters_.submitted;
@@ -156,12 +148,7 @@ std::size_t QueuePair::wait(std::span<Completion> out) {
     const std::size_t n = poll(out);
     if (n > 0) return n;
     if (counters_.inflight() == 0) return 0;
-    const std::uint64_t ticket = completion_ec_.prepare_wait();
-    if (any_completion_visible()) {
-      completion_ec_.cancel_wait();
-      continue;
-    }
-    completion_ec_.wait(ticket);
+    completion_ec_.await([this] { return any_completion_visible(); }, sched_.spin_);
   }
 }
 
@@ -268,9 +255,15 @@ QueuePair& HostScheduler::open_queue_pair() {
   return *queue_pairs_.back();
 }
 
+std::chrono::nanoseconds spin_budget_for(std::size_t consumers, std::size_t queue_pairs,
+                                         unsigned cpus) noexcept {
+  return cpus > 1 && consumers + queue_pairs < cpus ? kSpinBudget : std::chrono::nanoseconds{0};
+}
+
 void HostScheduler::start() {
   SWL_REQUIRE(!started_, "scheduler already started");
   started_ = true;
+  spin_ = spin_budget_for(shards_.size(), queue_pairs_.size(), usable_cpu_count());
   for (auto& sh : shards_) {
     // Ownership handoff: the consumer thread becomes the stack's owner.
     sh->stack.chip->detach_owner_thread();
@@ -316,16 +309,11 @@ void HostScheduler::consumer_loop(Shard& shard) {
     QueuePair::Request* r = nullptr;
     while (batch.size() < kDrainBatch && shard.ring.try_pop(&r)) batch.push_back(r);
     if (batch.empty()) {
-      const std::uint64_t ticket = shard.work_ec.prepare_wait();
-      if (!shard.ring.empty()) {
-        shard.work_ec.cancel_wait();
-        continue;
-      }
-      if (stop_.load(std::memory_order_acquire)) {
-        shard.work_ec.cancel_wait();
-        return;  // stop requested and the ring is drained
-      }
-      shard.work_ec.wait(ticket);
+      // stop() runs after the clients' last push, so once stop_ reads true
+      // an empty ring stays empty.
+      if (stop_.load(std::memory_order_acquire) && shard.ring.empty()) return;
+      shard.counters.parks += shard.work_ec.await(
+          [&] { return !shard.ring.empty() || stop_.load(std::memory_order_acquire); }, spin_);
       continue;
     }
     // We freed ring space: wake producers parked on a full ring.

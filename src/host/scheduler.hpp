@@ -20,7 +20,9 @@
 //   TranslationLayer + NandChip stack; ownership moves via the existing
 //   ThreadChecker detach_owner_thread() handoff at start()/stop(). There are
 //   no locks on the request hot path — only the ring CAS and, when a side
-//   must sleep, core::EventCount parking.
+//   must wait, core::EventCount::await: a short spin (only when every
+//   front-end thread can have a CPU of its own; see spin_budget_for), then
+//   parking.
 // - A QueuePair is one client stream: a fixed pool of request slots (the
 //   queue depth), per-shard SPSC completion rings, per-stream QoS counters
 //   and per-op latency histograms. One QueuePair belongs to one client
@@ -44,6 +46,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -112,7 +115,8 @@ struct StreamCounters {
   /// Submissions rejected with Status::busy (queue depth exhausted, or a
   /// full ring under SubmitMode::try_once).
   std::uint64_t would_blocks = 0;
-  /// Times a blocking submission had to park on a full submission ring.
+  /// Times a blocking submission found the submission ring full and had to
+  /// wait for the consumer to drain it.
   std::uint64_t ring_full_waits = 0;
 
   [[nodiscard]] std::uint64_t inflight() const noexcept { return submitted - completed; }
@@ -126,7 +130,29 @@ struct ShardCounters {
   std::uint64_t coalesced_runs = 0;
   /// Requests folded into those runs (each run covers >= 2).
   std::uint64_t coalesced_requests = 0;
+  /// Times the consumer slept on an empty ring (a spin that caught the next
+  /// request does not count).
+  std::uint64_t parks = 0;
 };
+
+/// How long a front-end thread polls before it parks. Bounded by wall time,
+/// not by a poll count, because `pause` costs 10–140 cycles depending on the
+/// core. Sized on the e2e host_mixed workload (seed 7, two 10 s runs per
+/// budget, shared 4-vCPU Xeon VM), where a device write takes 0.12 µs and
+/// the median request latency was: park at once 9.5–15.9 µs (a thread
+/// wake-up per request), 2 µs spin 9.8–10.7, 5 µs 3.3–4.8, 20 µs 1.45–1.51,
+/// 100 µs 1.35–1.41. 20 µs takes nearly all of the gain at a fifth of the
+/// idle cost per empty-ring episode.
+inline constexpr std::chrono::nanoseconds kSpinBudget{20'000};
+
+/// The spin budget for a front-end with `consumers` shard threads and
+/// `queue_pairs` client streams on `cpus` usable CPUs: kSpinBudget when every
+/// one of those threads can have a CPU of its own (consumers + queue_pairs <
+/// cpus), else zero — a spinning thread must never hold a CPU that the thread
+/// it waits for needs. A 1-CPU host never spins.
+[[nodiscard]] std::chrono::nanoseconds spin_budget_for(std::size_t consumers,
+                                                       std::size_t queue_pairs,
+                                                       unsigned cpus) noexcept;
 
 class HostScheduler;
 
@@ -236,7 +262,8 @@ class HostScheduler {
   [[nodiscard]] QueuePair& open_queue_pair();
 
   /// Spawns the consumer threads and hands each shard's stack to its
-  /// consumer (ThreadChecker detach handoff). Main thread, once.
+  /// consumer (ThreadChecker detach handoff). Decides the spin budget once,
+  /// from the thread count and usable_cpu_count(). Main thread, once.
   void start();
 
   /// Drains every submitted request, joins the consumers, and hands the
@@ -245,6 +272,9 @@ class HostScheduler {
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return started_ && !stopped_; }
+
+  /// How long a front-end thread spins before it parks (set by start()).
+  [[nodiscard]] std::chrono::nanoseconds spin_budget() const noexcept { return spin_; }
 
   // -- geometry / routing ----------------------------------------------------
 
@@ -308,6 +338,7 @@ class HostScheduler {
   std::uint32_t sectors_per_page_ = 0;
   SectorIndex sector_count_ = 0;
   std::atomic<bool> stop_{false};
+  std::chrono::nanoseconds spin_{0};
   bool started_ = false;
   bool stopped_ = false;
 };

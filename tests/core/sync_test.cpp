@@ -1,4 +1,4 @@
-// core::Mutex / CondVar / ThreadChecker behavior tests.
+// core::Mutex / CondVar / EventCount / ThreadChecker behavior tests.
 //
 // The *static* guarantees (GUARDED_BY et al.) are exercised by clang's
 // -Wthread-safety in CI; these tests pin the runtime behavior of the
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -128,6 +129,82 @@ TEST(EventCount, ParkedConsumerDrainsProducerStream) {
   }
   consumer.join();
   EXPECT_EQ(consumed, kItems);
+}
+
+TEST(EventCount, AwaitReturnsAtOnceWhenAlreadyReady) {
+  EventCount ec;
+  int calls = 0;
+  const std::uint64_t parks = ec.await(
+      [&] {
+        ++calls;
+        return true;
+      },
+      std::chrono::seconds(10));
+  EXPECT_EQ(parks, 0u);
+  EXPECT_EQ(calls, 1);  // never called again once it returned true
+}
+
+TEST(EventCount, AwaitCatchesANotifyDuringTheSpinWithoutParking) {
+  // A budget far longer than the hand-off: the spin sees the flag, so the
+  // waiter never sleeps, and returns long before the budget runs out.
+  EventCount ec;
+  std::atomic<bool> ready{false};
+  std::thread signaller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ready.store(true, std::memory_order_release);
+    ec.notify();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t parks =
+      ec.await([&] { return ready.load(std::memory_order_acquire); }, std::chrono::seconds(60));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  signaller.join();
+  EXPECT_EQ(parks, 0u);
+  EXPECT_LT(waited, std::chrono::seconds(30));
+}
+
+TEST(EventCount, AwaitParksAfterTheBudgetAndANotifyWakesIt) {
+  EventCount ec;
+  std::atomic<bool> ready{false};
+  std::thread signaller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ready.store(true, std::memory_order_release);
+    ec.notify();
+  });
+  const std::uint64_t parks = ec.await([&] { return ready.load(std::memory_order_acquire); },
+                                       std::chrono::microseconds(1));
+  signaller.join();
+  EXPECT_GE(parks, 1u);
+  EXPECT_TRUE(ready.load());
+}
+
+TEST(EventCount, AwaitingProducerAndConsumerLoseNoWakeup) {
+  // Both sides of a bounded mailbox wait with await(): the consumer for an
+  // item, the producer for room. A budget of a few microseconds makes both
+  // spins and parks frequent; a lost wake-up would hang the test.
+  constexpr std::uint64_t kItems = 1'000'000;
+  constexpr std::uint64_t kCapacity = 16;
+  constexpr std::chrono::nanoseconds kSpin = std::chrono::microseconds(2);
+  EventCount items_ec;
+  EventCount room_ec;
+  std::atomic<std::uint64_t> produced{0};
+  std::atomic<std::uint64_t> consumed{0};
+  std::thread consumer([&] {
+    for (std::uint64_t i = 0; i < kItems; ++i) {
+      items_ec.await(
+          [&] { return produced.load(std::memory_order_acquire) > i; }, kSpin);
+      consumed.store(i + 1, std::memory_order_release);
+      room_ec.notify();
+    }
+  });
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    room_ec.await(
+        [&] { return i - consumed.load(std::memory_order_acquire) < kCapacity; }, kSpin);
+    produced.store(i + 1, std::memory_order_release);
+    items_ec.notify();
+  }
+  consumer.join();
+  EXPECT_EQ(consumed.load(), kItems);
 }
 
 #ifndef NDEBUG
