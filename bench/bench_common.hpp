@@ -28,6 +28,7 @@
 #include <string>
 #include <utility>
 
+#include "core/sync.hpp"
 #include "runner/json.hpp"
 #include "runner/sweep_runner.hpp"
 #include "sim/experiments.hpp"
@@ -108,6 +109,26 @@ inline double calibrate_items_per_second() {
     if (seconds > 0.0) best = std::max(best, static_cast<double>(items) / seconds);
   }
   return best;
+}
+
+/// The machine class a run measures on: the CPUs the process may run on and
+/// the CPU model ("unknown" where /proc/cpuinfo names none). perf_compare
+/// gates the host-sensitive bench_micro points only within one class.
+inline runner::Json host_class_json() {
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    const std::size_t start =
+        colon == std::string::npos ? colon : line.find_first_not_of(" \t", colon + 1);
+    if (start != std::string::npos) model = line.substr(start);
+    break;
+  }
+  runner::Json host = runner::Json::object();
+  host.set("cpus", usable_cpu_count());
+  host.set("cpu_model", std::move(model));
+  return host;
 }
 
 inline Options parse_options(int argc, char** argv) {
@@ -246,6 +267,7 @@ class BenchReport {
     // compare this artifact's wall_ms across machines. Measured at finish so
     // it reflects the same thermal/turbo state as the run itself.
     doc.set("calibrate_items_per_second", calibrate_items_per_second());
+    doc.set("host_class", host_class_json());
     runner::Json scale = runner::Json::object();
     scale.set("block_count", static_cast<std::uint64_t>(opt_.scale.block_count));
     scale.set("endurance", static_cast<std::uint64_t>(opt_.scale.endurance));

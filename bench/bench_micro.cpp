@@ -24,6 +24,12 @@
 //   - host_mt                    2 clients x 2 shards async at QD 64 — the
 //                                cross-thread submit/complete hand-off cost
 //                                (kept small: baselines record on any host)
+//
+// The host_* points, replay_ftl_sharded and replay_array depend on the core
+// count and thread wake-up cost (host_qd1's two threads spin before parking
+// on a host with 3+ CPUs, host_mt's four only with 5+), so perf_compare gates
+// them only against a baseline of the same host class, which BenchReport
+// records in every artifact.
 //   - replay_ftl / replay_nftl /
 //     replay_dftl                the headline: Simulator::run over a
 //                                SegmentReplaySource at the default scale,

@@ -1,8 +1,11 @@
 #include "perf_compare/compare.hpp"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 namespace swl::perf {
 
@@ -19,10 +22,25 @@ std::string fmt_value(const Point& p) {
   return os.str();
 }
 
+std::string describe(const std::optional<HostClass>& host) {
+  if (!host.has_value()) return "none recorded";
+  return std::to_string(host->cpus) + " CPUs, " + host->cpu_model;
+}
+
 }  // namespace
 
-std::optional<PointMap> parse_points(const std::string& json_text, const std::string& label,
-                                     std::ostream& err) {
+bool host_sensitive(const std::string& name) {
+  static constexpr std::array<std::string_view, 5> kNames = {
+      "host_qd1", "host_qd1_p99_ns", "host_mt", "replay_ftl_sharded", "replay_array"};
+  return std::ranges::find(kNames, name) != kNames.end();
+}
+
+bool same_host_class(const Artifact& a, const Artifact& b) {
+  return a.host_class.has_value() && a.host_class == b.host_class;
+}
+
+std::optional<Artifact> parse_artifact(const std::string& json_text, const std::string& label,
+                                       std::ostream& err) {
   const std::optional<runner::Json> doc = runner::Json::parse(json_text);
   if (!doc.has_value()) {
     err << "perf_compare: " << label << " is not valid JSON\n";
@@ -33,7 +51,7 @@ std::optional<PointMap> parse_points(const std::string& json_text, const std::st
     err << "perf_compare: " << label << " has no points array\n";
     return std::nullopt;
   }
-  PointMap out;
+  Artifact out;
   for (std::size_t i = 0; i < points->size(); ++i) {
     const runner::Json& p = *points->at(i);
     const runner::Json* name = p.find("name");
@@ -50,12 +68,22 @@ std::optional<PointMap> parse_points(const std::string& json_text, const std::st
       pt.lower_is_better = *lib->boolean();
     }
     pt.raw = p;
-    out[*name->string()] = std::move(pt);
+    out.points[*name->string()] = std::move(pt);
+  }
+  if (const runner::Json* host = doc->find("host_class"); host != nullptr) {
+    const runner::Json* cpus = host->find("cpus");
+    const runner::Json* model = host->find("cpu_model");
+    if (cpus == nullptr || !cpus->number().has_value() || *cpus->number() < 1.0 ||
+        model == nullptr || model->string() == nullptr) {
+      err << "perf_compare: " << label << " has a malformed host_class\n";
+      return std::nullopt;
+    }
+    out.host_class = HostClass{static_cast<std::uint64_t>(*cpus->number()), *model->string()};
   }
   return out;
 }
 
-std::optional<PointMap> load_points(const std::string& path, std::ostream& err) {
+std::optional<Artifact> load_artifact(const std::string& path, std::ostream& err) {
   std::ifstream in(path);
   if (!in) {
     err << "perf_compare: cannot open " << path << "\n";
@@ -63,24 +91,29 @@ std::optional<PointMap> load_points(const std::string& path, std::ostream& err) 
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  return parse_points(buf.str(), path, err);
+  return parse_artifact(buf.str(), path, err);
 }
 
 bool better(const Point& point, double a, double b) {
   return point.lower_is_better ? a < b : a > b;
 }
 
-PointMap merge_point_maps(const std::vector<PointMap>& inputs) {
-  PointMap best;
-  for (const PointMap& points : inputs) {
-    for (const auto& [name, pt] : points) {
-      const auto it = best.find(name);
-      if (it == best.end() || better(pt, pt.value, it->second.value)) {
-        best[name] = pt;
+Artifact merge_artifacts(const std::vector<Artifact>& inputs) {
+  Artifact merged;
+  if (inputs.empty()) return merged;
+  const Artifact& last = inputs.back();
+  merged.host_class = last.host_class;
+  for (const Artifact& in : inputs) {
+    const bool same_class = same_host_class(in, last);
+    for (const auto& [name, pt] : in.points) {
+      if (!same_class && host_sensitive(name)) continue;
+      const auto it = merged.points.find(name);
+      if (it == merged.points.end() || better(pt, pt.value, it->second.value)) {
+        merged.points[name] = pt;
       }
     }
   }
-  return best;
+  return merged;
 }
 
 double normalized_ratio(const Point& base, const Point& current, double speed) {
@@ -106,19 +139,29 @@ std::optional<double> speed_factor(const PointMap& baseline, const PointMap& cur
   return cur_cal->second.value / base_cal->second.value;
 }
 
-int compare(const PointMap& baseline, const PointMap& current, double threshold,
-            std::ostream& out, std::ostream& err) {
+int compare(const Artifact& baseline_artifact, const Artifact& current_artifact,
+            double threshold, std::ostream& out, std::ostream& err) {
+  const PointMap& baseline = baseline_artifact.points;
+  const PointMap& current = current_artifact.points;
   const std::optional<double> speed = speed_factor(baseline, current, err);
   if (!speed.has_value()) return 2;
   out << "machine speed vs baseline host: " << fmt_value(current.at("calibrate")) << " / "
       << fmt_value(baseline.at("calibrate")) << " = ";
   out.precision(3);
-  out << std::fixed << *speed << "x\n\n";
+  out << std::fixed << *speed << "x\n";
+  const bool same_class = same_host_class(baseline_artifact, current_artifact);
+  out << "host class: baseline " << describe(baseline_artifact.host_class) << "; current "
+      << describe(current_artifact.host_class)
+      << (same_class ? "" : " (different: host-sensitive points are not gated)") << "\n\n";
 
   bool failed = false;
   out << "  benchmark                 baseline      current   normalized  verdict\n";
   for (const auto& [name, base] : baseline) {
     if (name == "calibrate") continue;
+    if (!same_class && host_sensitive(name)) {
+      out << "  " << name << ": skipped (host class differs)\n";
+      continue;
+    }
     const auto it = current.find(name);
     if (it == current.end()) {
       out << "  " << name << ": MISSING from current run\n";
@@ -153,13 +196,20 @@ int compare(const PointMap& baseline, const PointMap& current, double threshold,
   return failed ? 1 : 0;
 }
 
-bool ratchet_allows(const PointMap& old_baseline, const PointMap& candidate, double threshold,
-                    std::ostream& out, std::ostream& err) {
+bool ratchet_allows(const Artifact& old_artifact, const Artifact& candidate_artifact,
+                    double threshold, std::ostream& out, std::ostream& err) {
+  const PointMap& old_baseline = old_artifact.points;
+  const PointMap& candidate = candidate_artifact.points;
   const std::optional<double> speed = speed_factor(old_baseline, candidate, err);
   if (!speed.has_value()) return false;
+  const bool same_class = same_host_class(old_artifact, candidate_artifact);
   bool ok = true;
   for (const auto& [name, base] : old_baseline) {
     if (name == "calibrate") continue;
+    if (!same_class && host_sensitive(name)) {
+      out << "  ratchet: " << name << " skipped (host class differs)\n";
+      continue;
+    }
     const auto it = candidate.find(name);
     if (it == candidate.end()) {
       out << "  ratchet: " << name << " MISSING from new baseline\n";
@@ -178,12 +228,18 @@ bool ratchet_allows(const PointMap& old_baseline, const PointMap& candidate, dou
   return ok;
 }
 
-runner::Json merged_artifact(PointMap points, std::size_t input_count) {
+runner::Json merged_artifact(Artifact artifact, std::size_t input_count) {
   runner::Json doc = runner::Json::object();
   doc.set("bench", "micro");
   doc.set("merged_from", static_cast<std::uint64_t>(input_count));
+  if (artifact.host_class.has_value()) {
+    runner::Json host = runner::Json::object();
+    host.set("cpus", artifact.host_class->cpus);
+    host.set("cpu_model", artifact.host_class->cpu_model);
+    doc.set("host_class", std::move(host));
+  }
   runner::Json arr = runner::Json::array();
-  for (auto& [name, pt] : points) arr.push(std::move(pt.raw));
+  for (auto& [name, pt] : artifact.points) arr.push(std::move(pt.raw));
   doc.set("points", std::move(arr));
   return doc;
 }

@@ -15,9 +15,17 @@
 //
 // Both directions share one gate formula via normalized_ratio(): ratio >= 1
 // means at-least-as-good, and `ratio < 1 - threshold` is a regression.
+//
+// Host classes: an artifact records the machine it ran on ("host_class":
+// usable CPU count and CPU model). A few points measure thread hand-offs or
+// parallel speed-up, which depend on the core count and wake-up cost far more
+// than `calibrate` can normalize away; those host-sensitive points are gated,
+// ratcheted and merged only between artifacts of one class. An artifact
+// without a class (older than the field) matches no class.
 #ifndef SWL_TOOLS_PERF_COMPARE_COMPARE_HPP
 #define SWL_TOOLS_PERF_COMPARE_COMPARE_HPP
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -38,20 +46,43 @@ struct Point {
 
 using PointMap = std::map<std::string, Point>;
 
-/// Parses an artifact's points. `label` names the source in diagnostics
-/// (written to `err`). std::nullopt on malformed input.
-[[nodiscard]] std::optional<PointMap> parse_points(const std::string& json_text,
-                                                   const std::string& label, std::ostream& err);
+/// The machine class an artifact was measured on.
+struct HostClass {
+  std::uint64_t cpus = 0;  // CPUs the process could run on (affinity mask)
+  std::string cpu_model;
+  friend bool operator==(const HostClass&, const HostClass&) = default;
+};
 
-/// parse_points over a file.
-[[nodiscard]] std::optional<PointMap> load_points(const std::string& path, std::ostream& err);
+struct Artifact {
+  PointMap points;
+  std::optional<HostClass> host_class;  // absent in artifacts older than the field
+};
+
+/// The points gated only within one host class: host_qd1, host_qd1_p99_ns,
+/// host_mt, replay_ftl_sharded and replay_array.
+[[nodiscard]] bool host_sensitive(const std::string& name);
+
+/// True when both artifacts record a host class and the classes are equal.
+[[nodiscard]] bool same_host_class(const Artifact& a, const Artifact& b);
+
+/// Parses an artifact. `label` names the source in diagnostics (written to
+/// `err`). std::nullopt on malformed input, including a malformed
+/// host_class.
+[[nodiscard]] std::optional<Artifact> parse_artifact(const std::string& json_text,
+                                                     const std::string& label, std::ostream& err);
+
+/// parse_artifact over a file.
+[[nodiscard]] std::optional<Artifact> load_artifact(const std::string& path, std::ostream& err);
 
 /// True when metric value `a` beats `b` in the point's direction.
 [[nodiscard]] bool better(const Point& point, double a, double b);
 
-/// Per-benchmark best across the inputs (direction-aware), the merge rule
-/// behind --merge and --update-baseline.
-[[nodiscard]] PointMap merge_point_maps(const std::vector<PointMap>& inputs);
+/// The merge rule behind --merge and --update-baseline: each point is the
+/// best across the inputs (direction-aware), except that host-sensitive
+/// points come only from inputs of the last input's host class, which the
+/// result takes. So list the fresh runs last. A classless last input yields a
+/// classless result without host-sensitive points.
+[[nodiscard]] Artifact merge_artifacts(const std::vector<Artifact>& inputs);
 
 /// The gate quantity: >= 1.0 means the current run is at least as good as
 /// the baseline after normalizing machine speed (speed = current calibrate /
@@ -65,16 +96,20 @@ using PointMap = std::map<std::string, Point>;
 
 /// The compare-mode verdict table. Returns the process exit code: 0 ok,
 /// 1 regression (or a baseline point missing from current), 2 bad input.
-[[nodiscard]] int compare(const PointMap& baseline, const PointMap& current, double threshold,
+/// Host-sensitive points of a baseline from another host class are printed
+/// as skipped, not gated.
+[[nodiscard]] int compare(const Artifact& baseline, const Artifact& current, double threshold,
                           std::ostream& out, std::ostream& err);
 
 /// The --ratchet check: every benchmark of the old baseline must survive in
-/// the candidate at `ratio >= 1 - threshold`. Diagnostics go to `out`.
-[[nodiscard]] bool ratchet_allows(const PointMap& old_baseline, const PointMap& candidate,
+/// the candidate at `ratio >= 1 - threshold`, except host-sensitive points
+/// when the two host classes differ. Diagnostics go to `out`.
+[[nodiscard]] bool ratchet_allows(const Artifact& old_baseline, const Artifact& candidate,
                                   double threshold, std::ostream& out, std::ostream& err);
 
-/// Serializes a merged artifact document ({bench, merged_from, points}).
-[[nodiscard]] runner::Json merged_artifact(PointMap points, std::size_t input_count);
+/// Serializes a merged artifact document ({bench, merged_from, host_class
+/// when known, points}).
+[[nodiscard]] runner::Json merged_artifact(Artifact artifact, std::size_t input_count);
 
 }  // namespace swl::perf
 

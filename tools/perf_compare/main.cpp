@@ -16,7 +16,12 @@
 //
 // Benchmarks missing from the current run fail the gate (a silently dropped
 // benchmark is not a pass); new benchmarks only in the current run are
-// reported and ignored. Exit codes: 0 ok, 1 regression, 2 usage/bad input.
+// reported and ignored. The host-sensitive points (host_qd1,
+// host_qd1_p99_ns, host_mt, replay_ftl_sharded, replay_array) measure thread
+// hand-offs and parallel speed-up, so they are gated only when both
+// artifacts record the same host class (usable CPU count and CPU model);
+// otherwise they are printed as skipped. Exit codes: 0 ok, 1 regression,
+// 2 usage/bad input.
 //
 // Merge mode:
 //
@@ -24,6 +29,8 @@
 //
 // Writes an artifact holding, per benchmark, the best point across the
 // inputs (highest throughput, or lowest cost for lower-is-better points).
+// The result takes the last input's host class, and host-sensitive points
+// come only from inputs of that class — list the fresh runs last.
 // Process-level effects (address-space layout, transparent huge pages) make
 // individual invocations of a benchmark differ far more than repetitions
 // inside one process, so both the committed baseline and the CI measurement
@@ -39,7 +46,8 @@
 // rule as --merge) and writes the result over BASELINE.json. With
 // --ratchet the write is refused (exit 1) when any benchmark already in the
 // old baseline would regress beyond the threshold after calibrate
-// normalization — the baseline may only move sideways-or-up, so an
+// normalization (host-sensitive points only when the old baseline has the
+// new one's host class) — the baseline may only move sideways-or-up, so an
 // accidental re-baseline cannot launder a real regression. A missing or
 // unreadable old baseline is not an error: the first baseline has nothing
 // to ratchet against.
@@ -56,10 +64,10 @@
 
 namespace {
 
-using swl::perf::PointMap;
+using swl::perf::Artifact;
 
-int write_artifact(const std::string& out_path, PointMap points, std::size_t input_count) {
-  const swl::runner::Json doc = swl::perf::merged_artifact(std::move(points), input_count);
+int write_artifact(const std::string& out_path, Artifact artifact, std::size_t input_count) {
+  const swl::runner::Json doc = swl::perf::merged_artifact(std::move(artifact), input_count);
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "perf_compare: cannot write " << out_path << "\n";
@@ -70,15 +78,15 @@ int write_artifact(const std::string& out_path, PointMap points, std::size_t inp
   return 0;
 }
 
-std::optional<PointMap> merge_inputs(const std::vector<std::string>& inputs) {
-  std::vector<PointMap> maps;
-  maps.reserve(inputs.size());
+std::optional<Artifact> merge_inputs(const std::vector<std::string>& inputs) {
+  std::vector<Artifact> artifacts;
+  artifacts.reserve(inputs.size());
   for (const std::string& path : inputs) {
-    auto points = swl::perf::load_points(path, std::cerr);
-    if (!points.has_value()) return std::nullopt;
-    maps.push_back(std::move(*points));
+    auto artifact = swl::perf::load_artifact(path, std::cerr);
+    if (!artifact.has_value()) return std::nullopt;
+    artifacts.push_back(std::move(*artifact));
   }
-  return swl::perf::merge_point_maps(maps);
+  return swl::perf::merge_artifacts(artifacts);
 }
 
 int merge(const std::string& out_path, const std::vector<std::string>& inputs) {
@@ -98,7 +106,7 @@ int update_baseline(const std::string& baseline_path, const std::vector<std::str
     if (probe) {
       probe.close();
       std::ostringstream sink;
-      const auto old_baseline = swl::perf::load_points(baseline_path, sink);
+      const auto old_baseline = swl::perf::load_artifact(baseline_path, sink);
       if (old_baseline.has_value() &&
           !swl::perf::ratchet_allows(*old_baseline, *best, threshold, std::cout, std::cerr)) {
         std::cerr << "perf_compare: refusing to update " << baseline_path
@@ -115,8 +123,8 @@ int update_baseline(const std::string& baseline_path, const std::vector<std::str
 
 int compare_files(const std::string& baseline_path, const std::string& current_path,
                   double threshold) {
-  const auto baseline = swl::perf::load_points(baseline_path, std::cerr);
-  const auto current = swl::perf::load_points(current_path, std::cerr);
+  const auto baseline = swl::perf::load_artifact(baseline_path, std::cerr);
+  const auto current = swl::perf::load_artifact(current_path, std::cerr);
   if (!baseline.has_value() || !current.has_value()) return 2;
   return swl::perf::compare(*baseline, *current, threshold, std::cout, std::cerr);
 }
