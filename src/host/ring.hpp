@@ -9,7 +9,9 @@
 //
 //   SpscRing — the *completion* side: one producer (a shard consumer), one
 //   consumer (the owning client thread). Plain head/tail indices with
-//   acquire/release pairing; no CAS anywhere.
+//   acquire/release pairing; no CAS anywhere. Each side caches the other's
+//   index and reloads it only when the cached copy says full (producer) or
+//   empty (consumer), so a steady stream touches the shared line rarely.
 //
 // Both are fixed-capacity (rounded up to a power of two), never allocate
 // after construction, and fail pushes instead of blocking — parking and
@@ -124,6 +126,13 @@ class MpscRing {
 /// Bounded single-producer single-consumer ring: the classic two-index
 /// design. The producer owns tail_, the consumer owns head_; each reads the
 /// other's index with acquire and publishes its own with release.
+///
+/// Each side also keeps a private copy of the other side's index (the
+/// producer's head_cache_, the consumer's tail_cache_) on its own cache line.
+/// The copy lags the real index, which only ever grows, so it is
+/// conservative: a producer that sees room in head_cache_ has room, and a
+/// consumer that sees items below tail_cache_ has them. The shared index is
+/// reloaded only when the copy says full (producer) or empty (consumer).
 template <typename T>
 class SpscRing {
   static_assert(std::is_trivially_copyable_v<T>, "rings move handles, not payloads");
@@ -140,8 +149,10 @@ class SpscRing {
   /// Producer side (one thread): false when full.
   [[nodiscard]] bool try_push(T value) noexcept {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail - head == slots_.size()) return false;
+    if (tail - head_cache_ == slots_.size()) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      if (tail - head_cache_ == slots_.size()) return false;
+    }
     slots_[tail & mask_] = value;
     tail_.store(tail + 1, std::memory_order_release);
     return true;
@@ -150,23 +161,30 @@ class SpscRing {
   /// Consumer side (one thread): false when empty.
   [[nodiscard]] bool try_pop(T* value) noexcept {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;
+    if (head == tail_cache_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (head == tail_cache_) return false;
+    }
     *value = slots_[head & mask_];
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
-  /// Consumer-side emptiness probe (may be stale the instant it returns).
+  /// Consumer-side emptiness probe: exact for the consumer when it returns
+  /// (no other thread pops), though a concurrent push may make it stale at
+  /// once. It reads tail_ only when the cached copy has run out.
   [[nodiscard]] bool empty() const noexcept {
-    return head_.load(std::memory_order_relaxed) == tail_.load(std::memory_order_acquire);
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    return head == tail_cache_ && head == tail_.load(std::memory_order_acquire);
   }
 
  private:
   std::vector<T> slots_;
   std::size_t mask_;
   alignas(64) std::atomic<std::size_t> tail_{0};  // producer-owned
+  std::size_t head_cache_ = 0;                    // producer's copy of head_
   alignas(64) std::atomic<std::size_t> head_{0};  // consumer-owned
+  std::size_t tail_cache_ = 0;                    // consumer's copy of tail_
 };
 
 }  // namespace swl::host

@@ -120,17 +120,24 @@ std::size_t QueuePair::poll(std::span<Completion> out) {
       std::uint32_t slot = 0;
       if (!ring.try_pop(&slot)) continue;
       any = true;
-      Request& r = slots_[slot];
-      const std::uint64_t end = now_ns();
-      const std::uint64_t latency = end > r.submit_ns ? end - r.submit_ns : 0;
-      (r.op == OpKind::read ? read_hist_ : write_hist_).record(latency);
-      out[n++] = Completion{r.id, r.op, r.status, r.value, latency};
+      const Request& r = slots_[slot];
+      // latency_ns holds the submit time until the reap time is known.
+      out[n++] = Completion{r.id, r.op, r.status, r.value, r.submit_ns};
       free_slots_.push_back(slot);
-      ++counters_.completed;
     }
     if (!any) break;
     poll_cursor_ = (poll_cursor_ + 1) % rings;
   }
+  if (n == 0) return 0;
+  // One clock read for the whole reap, after every pop: the clock read waits
+  // for the loads before it, so reading it per completion would serialize
+  // the cross-core misses on each ring entry and slot.
+  const std::uint64_t end = now_ns();
+  for (Completion& c : out.first(n)) {
+    c.latency_ns = end > c.latency_ns ? end - c.latency_ns : 0;
+    (c.op == OpKind::read ? read_hist_ : write_hist_).record(c.latency_ns);
+  }
+  counters_.completed += n;
   return n;
 }
 

@@ -47,6 +47,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -104,7 +105,9 @@ struct Completion {
   Status status = Status::ok;
   /// Read result (reads only).
   std::uint64_t value = 0;
-  /// Submit-to-reap latency, the end-to-end time the client observed.
+  /// Submit to the end of the poll/wait call that returned it: the
+  /// end-to-end time the client observed. Every completion one call returns
+  /// shares that call's single reap-time clock reading.
   std::uint64_t latency_ns = 0;
 };
 
@@ -209,19 +212,27 @@ class QueuePair {
  private:
   friend class HostScheduler;
 
-  struct Request {
+  /// One request slot. Slots start on a cache line, and every field a
+  /// single-sector request uses sits in the first line, so such a request
+  /// moves one line between the client and the consumer; run_values, used
+  /// only by write runs, comes last.
+  struct alignas(64) Request {
     QueuePair* owner = nullptr;
     RequestId id = 0;
-    OpKind op = OpKind::write;
-    std::uint8_t run_count = 1;
-    std::uint16_t shard = 0;
-    std::uint32_t slot = 0;
     SectorIndex local_first = 0;
     std::uint64_t value = 0;  // write value; read result (consumer-written)
-    std::array<std::uint64_t, 8> run_values{};  // sectors_per_page <= 8
-    Status status = Status::ok;
     std::uint64_t submit_ns = 0;
+    std::uint32_t slot = 0;
+    Status status = Status::ok;
+    std::uint16_t shard = 0;
+    OpKind op = OpKind::write;
+    std::uint8_t run_count = 1;
+    std::array<std::uint64_t, 8> run_values{};  // sectors_per_page <= 8
   };
+  static_assert(alignof(Request) == 64 && sizeof(Request) % 64 == 0,
+                "request slots must not share cache lines");
+  static_assert(offsetof(Request, run_values) <= 64,
+                "a single-sector request's fields must fit the slot's first line");
 
   QueuePair(HostScheduler& sched, unsigned index, unsigned shards, std::size_t queue_depth);
 

@@ -137,6 +137,15 @@ const Json* Json::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
+Json* Json::find(std::string_view key) noexcept {
+  auto* obj = std::get_if<Object>(&value_);
+  if (obj == nullptr) return nullptr;
+  for (auto& [k, v] : *obj) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
 std::size_t Json::size() const noexcept {
   const auto* arr = std::get_if<Array>(&value_);
   return arr == nullptr ? 0 : arr->size();

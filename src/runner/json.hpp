@@ -68,6 +68,8 @@ class Json {
   /// Object member lookup (first match); nullptr when absent or not an
   /// object.
   [[nodiscard]] const Json* find(std::string_view key) const noexcept;
+  /// Mutable lookup, for rewriting a member's value in place.
+  [[nodiscard]] Json* find(std::string_view key) noexcept;
   /// Array element count; 0 for non-arrays.
   [[nodiscard]] std::size_t size() const noexcept;
   /// Array element access; nullptr out of range or not an array.

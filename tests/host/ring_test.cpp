@@ -1,6 +1,7 @@
 // host::MpscRing / host::SpscRing — the lock-free rings under the queue
 // pairs. Single-thread tests pin the bounded-FIFO contract (ordering,
-// capacity rounding, full/empty, wraparound); the stress tests run real
+// capacity rounding, full/empty, wraparound, and the SPSC ring's cached
+// indices at the full and empty boundaries); the stress tests run real
 // producer/consumer threads and verify nothing is lost, duplicated or
 // reordered per producer (run under TSan in CI).
 #include "host/ring.hpp"
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -71,6 +73,62 @@ TEST(Ring, SpscFifoAndFullEmpty) {
   EXPECT_FALSE(ring.try_pop(&v));
 }
 
+TEST(Ring, SpscPushAtCapacityFailsUntilOnePop) {
+  // Each lap fills the ring, so the producer's cached head is stale exactly
+  // at the boundary: the failing push must reload it and still fail, and
+  // the push after one pop must reload it and succeed.
+  for (const std::size_t capacity : {std::size_t{2}, std::size_t{8}}) {
+    SpscRing<std::uint64_t> ring(capacity);
+    std::uint64_t in = 0;
+    std::uint64_t out = 0;
+    for (int lap = 0; lap < 50; ++lap) {
+      while (ring.try_push(in)) ++in;
+      ASSERT_EQ(in - out, capacity);
+      EXPECT_FALSE(ring.try_push(in));  // still full on a second try
+      std::uint64_t v = 0;
+      ASSERT_TRUE(ring.try_pop(&v));
+      EXPECT_EQ(v, out++);
+      ASSERT_TRUE(ring.try_push(in++));  // exactly one slot came free
+      EXPECT_FALSE(ring.try_push(in));
+      // Drain part of the ring so the next lap starts mid-ring.
+      for (std::size_t k = 0; k < capacity / 2 + 1; ++k) {
+        ASSERT_TRUE(ring.try_pop(&v));
+        EXPECT_EQ(v, out++);
+      }
+    }
+  }
+}
+
+TEST(Ring, SpscEmptyAgreesWithTryPopOverManyLaps) {
+  // A capacity-2 ring laps every other item, so both cached indices go
+  // stale constantly; a FIFO model checks every step.
+  SpscRing<std::uint64_t> ring(2);
+  std::deque<std::uint64_t> model;
+  std::uint64_t next = 0;
+  std::uint64_t state = 0x9E3779B97F4A7C15u;
+  for (int step = 0; step < 20'000; ++step) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    if (state % 2 == 0) {
+      const bool pushed = ring.try_push(next);
+      ASSERT_EQ(pushed, model.size() < ring.capacity());
+      if (pushed) model.push_back(next++);
+    } else {
+      const bool was_empty = ring.empty();
+      ASSERT_EQ(was_empty, model.empty());
+      std::uint64_t v = 0;
+      ASSERT_EQ(ring.try_pop(&v), !was_empty);
+      if (!was_empty) {
+        EXPECT_EQ(v, model.front());
+        model.pop_front();
+      }
+      ASSERT_EQ(ring.empty(), model.empty());
+    }
+  }
+  EXPECT_GT(next, 5'000u);
+}
+
 TEST(Ring, MpscMultiProducerStressKeepsEveryItemOncePerProducerInOrder) {
   constexpr unsigned kProducers = 4;
   constexpr std::uint64_t kPerProducer = 20'000;
@@ -121,6 +179,30 @@ TEST(Ring, SpscStressTransfersStreamIntact) {
       ASSERT_EQ(v, want);
       ++want;
     }
+  });
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    while (!ring.try_push(i)) std::this_thread::yield();
+  }
+  consumer.join();
+}
+
+TEST(Ring, SpscCapacityTwoStressRefreshesCachedIndicesEveryLap) {
+  // With two slots the producer finds its cached head full and the consumer
+  // its cached tail empty on nearly every lap, so each side reloads the
+  // other's index constantly while the stream must still arrive intact.
+  constexpr std::uint64_t kItems = 1'000'000;
+  SpscRing<std::uint64_t> ring(2);
+  std::thread consumer([&] {
+    for (std::uint64_t want = 0; want < kItems;) {
+      std::uint64_t v = 0;
+      if (!ring.try_pop(&v)) {
+        std::this_thread::yield();
+        continue;
+      }
+      ASSERT_EQ(v, want);
+      ++want;
+    }
+    EXPECT_TRUE(ring.empty());
   });
   for (std::uint64_t i = 0; i < kItems; ++i) {
     while (!ring.try_push(i)) std::this_thread::yield();

@@ -3,7 +3,8 @@
 // (read-your-writes on one shard), explicit backpressure (Status::busy on an
 // exhausted queue depth), QoS counter accounting, multi-client/multi-shard
 // content integrity, the coalescing counters in both config states, the
-// page-splitting sync write_sectors helper, drain-on-stop, the
+// page-splitting sync write_sectors helper, drain-on-stop, the single reap
+// time that every completion of one poll shares, the
 // spin-then-park rule (when the front-end may spin, idle consumers parking,
 // stop() breaking a spinning consumer out), and the API preconditions.
 // Thread-heavy tests also run under TSan in CI.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -331,6 +333,61 @@ TEST(HostScheduler, StopDrainsEveryInFlightRequest) {
   while ((n = qp.poll(comps)) > 0) reaped += n;
   EXPECT_EQ(reaped, kWrites);
   EXPECT_EQ(qp.counters().inflight(), 0u);
+}
+
+TEST(HostScheduler, OnePollStampsEveryCompletionWithOneReapTime) {
+  // latency_ns runs from submit to the poll that returns the completion, and
+  // poll reads the clock once for everything it reaps. Sleeping before that
+  // poll puts the sleep into every latency; a common reap time and submit
+  // times that rise with the id make latencies non-increasing in id order.
+  HostScheduler sched(make_stacks(2), HostConfig{});
+  QueuePair& qp = sched.open_queue_pair();
+  sched.start();
+  constexpr std::size_t kRequests = 12;
+  std::array<std::uint64_t, kRequests> submit_lo{};
+  std::array<std::uint64_t, kRequests> submit_hi{};
+  const auto now = [] {
+    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now().time_since_epoch())
+                                          .count());
+  };
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const SectorIndex sector = i * 3;  // pages 0..8: both shards
+    submit_lo[i] = now();
+    const Status st = i % 3 == 2 ? qp.submit_read(sector, SubmitMode::blocking)
+                                 : qp.submit_write(sector, i, SubmitMode::blocking);
+    submit_hi[i] = now();
+    ASSERT_EQ(st, Status::ok);
+  }
+  constexpr std::uint64_t kSleepNs = 2'000'000;
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kSleepNs));
+  sched.stop();  // every request has completed: one poll reaps them all
+  std::array<Completion, kRequests + 4> comps;
+  const std::uint64_t poll_lo = now();
+  const std::size_t n = qp.poll(comps);
+  const std::uint64_t poll_hi = now();
+  ASSERT_EQ(n, kRequests);
+  std::sort(comps.begin(), comps.begin() + n,
+            [](const Completion& a, const Completion& b) { return a.id < b.id; });
+  std::uint64_t reads = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Completion& c = comps[i];
+    ASSERT_EQ(c.id, i);
+    if (c.op == OpKind::read) ++reads;
+    EXPECT_GE(c.latency_ns, std::uint64_t{1'000'000}) << "request " << i;
+    // The reap time lies inside the poll call, the submit time inside the
+    // submit call.
+    EXPECT_GE(c.latency_ns, poll_lo - submit_hi[i]) << "request " << i;
+    EXPECT_LE(c.latency_ns, poll_hi - submit_lo[i]) << "request " << i;
+    if (i > 0) {
+      EXPECT_LE(c.latency_ns, comps[i - 1].latency_ns) << "request " << i;
+    }
+  }
+  EXPECT_EQ(reads, kRequests / 3);
+  EXPECT_EQ(qp.read_latency().count(), reads);
+  EXPECT_EQ(qp.write_latency().count(), n - reads);
+  EXPECT_EQ(qp.counters().completed, n);
+  EXPECT_EQ(qp.poll(comps), 0u);
 }
 
 TEST(HostScheduler, SpinsOnlyWhenEveryThreadHasACpu) {

@@ -2,8 +2,9 @@
 // the CI perf gate, driven on in-memory artifacts. Covers artifact parsing
 // (including the lower_is_better flag), the direction-aware merge rule, the
 // normalization math in both gating directions, the compare-mode exit codes,
-// the --ratchet admission check, and the host-class rule for host-sensitive
-// points (gate, ratchet and merge only within one class).
+// the --ratchet admission check, the host-class rule for host-sensitive
+// points (gate, ratchet and merge only within one class), and the merge's
+// rescaling of every input to the last input's calibrate.
 #include "perf_compare/compare.hpp"
 
 #include <gtest/gtest.h>
@@ -328,6 +329,80 @@ TEST(PerfCompare, MergedArtifactKeepsTheHostClass) {
   ASSERT_TRUE(reparsed->host_class.has_value());
   EXPECT_EQ(*reparsed->host_class, kVm4);
   EXPECT_DOUBLE_EQ(reparsed->points.at("host_mt").value, 10.0);
+}
+
+TEST(PerfCompare, MergeTakesTheLastInputsCalibrate) {
+  // The faster host's calibrate (200) would win a best-of; the result must
+  // instead carry the last input's, which its points are normalized by.
+  const Artifact fast = parse_or_die(artifact({{"calibrate", 200.0, false}, {"thr", 10.0, false}}));
+  const Artifact slow = parse_or_die(artifact({{"calibrate", 100.0, false}, {"thr", 4.0, false}}));
+  EXPECT_DOUBLE_EQ(merge_artifacts({fast, slow}).points.at("calibrate").value, 100.0);
+  EXPECT_DOUBLE_EQ(merge_artifacts({slow, fast}).points.at("calibrate").value, 200.0);
+}
+
+TEST(PerfCompare, MergeRescalesThroughputToTheLastCalibrate) {
+  // On a host twice as fast, 10 items/s is worth 5 on the last input's host:
+  // it beats that host's own 4 and is written as 5.
+  const Artifact fast = parse_or_die(artifact({{"calibrate", 200.0, false}, {"thr", 10.0, false}}));
+  const Artifact slow = parse_or_die(artifact({{"calibrate", 100.0, false}, {"thr", 4.0, false}}));
+  const Artifact merged = merge_artifacts({fast, slow});
+  EXPECT_DOUBLE_EQ(merged.points.at("thr").value, 5.0);
+  // Where the last input's own value is better normalized, it stays as is.
+  const Artifact slow_better =
+      parse_or_die(artifact({{"calibrate", 100.0, false}, {"thr", 6.0, false}}));
+  EXPECT_DOUBLE_EQ(merge_artifacts({fast, slow_better}).points.at("thr").value, 6.0);
+  // The other way round: 4 on a host half as fast is worth 8 on the fast
+  // one, below its own 10.
+  EXPECT_DOUBLE_EQ(merge_artifacts({slow, fast}).points.at("thr").value, 10.0);
+  const Artifact slow_strong =
+      parse_or_die(artifact({{"calibrate", 100.0, false}, {"thr", 6.0, false}}));
+  EXPECT_DOUBLE_EQ(merge_artifacts({slow_strong, fast}).points.at("thr").value, 12.0);
+}
+
+TEST(PerfCompare, MergeRescalesCostToTheLastCalibrate) {
+  // A cost measured on a host twice as fast is doubled: 100 ns there is
+  // 200 ns on the last input's host, worse than its own 150.
+  const Artifact fast = parse_or_die(artifact({{"calibrate", 200.0, false}, {"lat", 100.0, true}}));
+  const Artifact slow = parse_or_die(artifact({{"calibrate", 100.0, false}, {"lat", 150.0, true}}));
+  EXPECT_DOUBLE_EQ(merge_artifacts({fast, slow}).points.at("lat").value, 150.0);
+  const Artifact slow_worse =
+      parse_or_die(artifact({{"calibrate", 100.0, false}, {"lat", 250.0, true}}));
+  EXPECT_DOUBLE_EQ(merge_artifacts({fast, slow_worse}).points.at("lat").value, 200.0);
+  // Toward the fast host a slow host's cost halves: 150 -> 75 beats 100.
+  EXPECT_DOUBLE_EQ(merge_artifacts({slow, fast}).points.at("lat").value, 75.0);
+}
+
+TEST(PerfCompare, MergedArtifactWritesRescaledValues) {
+  const Artifact fast = parse_or_die(artifact(
+      {{"calibrate", 200.0, false}, {"thr", 10.0, false}, {"lat", 100.0, true}}));
+  const Artifact slow = parse_or_die(artifact(
+      {{"calibrate", 100.0, false}, {"thr", 4.0, false}, {"lat", 250.0, true}}));
+  const runner::Json doc = merged_artifact(merge_artifacts({fast, slow}), 2);
+  std::ostringstream err;
+  const auto reparsed = parse_artifact(doc.dump(), "merged", err);
+  ASSERT_TRUE(reparsed.has_value()) << err.str();
+  EXPECT_DOUBLE_EQ(reparsed->points.at("calibrate").value, 100.0);
+  EXPECT_DOUBLE_EQ(reparsed->points.at("thr").value, 5.0);
+  EXPECT_DOUBLE_EQ(reparsed->points.at("lat").value, 200.0);
+  EXPECT_TRUE(reparsed->points.at("lat").lower_is_better);
+  // Gating the merged artifact against the fast input's own values sees no
+  // change: the rescale is exactly the gate's normalization.
+  std::ostringstream out;
+  EXPECT_EQ(compare(*reparsed, fast, 0.0, out, err), 0) << out.str();
+  EXPECT_DOUBLE_EQ(normalized_ratio(reparsed->points.at("thr"), fast.points.at("thr"), 2.0), 1.0);
+}
+
+TEST(PerfCompare, MergeTakesInputsWithoutACalibrateUnscaled) {
+  const Artifact bare = parse_or_die(artifact({{"thr", 7.0, false}}));
+  const Artifact run = parse_or_die(artifact({{"calibrate", 100.0, false}, {"thr", 4.0, false}}));
+  const Artifact merged = merge_artifacts({bare, run});
+  EXPECT_DOUBLE_EQ(merged.points.at("thr").value, 7.0);
+  EXPECT_DOUBLE_EQ(merged.points.at("calibrate").value, 100.0);
+  // Without a calibrate in the last input nothing is rescaled, and the
+  // result has no calibrate either.
+  const Artifact flipped = merge_artifacts({run, bare});
+  EXPECT_DOUBLE_EQ(flipped.points.at("thr").value, 7.0);
+  EXPECT_EQ(flipped.points.count("calibrate"), 0u);
 }
 
 }  // namespace

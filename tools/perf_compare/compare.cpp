@@ -27,6 +27,12 @@ std::string describe(const std::optional<HostClass>& host) {
   return std::to_string(host->cpus) + " CPUs, " + host->cpu_model;
 }
 
+/// The artifact's calibrate value; 0 when it has no positive one.
+double calibrate_of(const PointMap& points) {
+  const auto it = points.find("calibrate");
+  return it != points.end() && it->second.value > 0.0 ? it->second.value : 0.0;
+}
+
 }  // namespace
 
 bool host_sensitive(const std::string& name) {
@@ -103,13 +109,25 @@ Artifact merge_artifacts(const std::vector<Artifact>& inputs) {
   if (inputs.empty()) return merged;
   const Artifact& last = inputs.back();
   merged.host_class = last.host_class;
+  const double target = calibrate_of(last.points);
+  if (target > 0.0) merged.points["calibrate"] = last.points.at("calibrate");
   for (const Artifact& in : inputs) {
     const bool same_class = same_host_class(in, last);
+    const double own = calibrate_of(in.points);
+    // How much faster this input's machine ran than the last input's.
+    const double speed = own > 0.0 && target > 0.0 ? own / target : 1.0;
     for (const auto& [name, pt] : in.points) {
-      if (!same_class && host_sensitive(name)) continue;
+      if (name == "calibrate" || (!same_class && host_sensitive(name))) continue;
+      Point scaled = pt;
+      if (speed != 1.0) {
+        scaled.value = pt.lower_is_better ? pt.value * speed : pt.value / speed;
+        if (runner::Json* ips = scaled.raw.find("items_per_second"); ips != nullptr) {
+          *ips = scaled.value;
+        }
+      }
       const auto it = merged.points.find(name);
-      if (it == merged.points.end() || better(pt, pt.value, it->second.value)) {
-        merged.points[name] = pt;
+      if (it == merged.points.end() || better(scaled, scaled.value, it->second.value)) {
+        merged.points[name] = std::move(scaled);
       }
     }
   }
@@ -129,14 +147,13 @@ double normalized_ratio(const Point& base, const Point& current, double speed) {
 
 std::optional<double> speed_factor(const PointMap& baseline, const PointMap& current,
                                    std::ostream& err) {
-  const auto base_cal = baseline.find("calibrate");
-  const auto cur_cal = current.find("calibrate");
-  if (base_cal == baseline.end() || cur_cal == current.end() || base_cal->second.value <= 0.0 ||
-      cur_cal->second.value <= 0.0) {
+  const double base_cal = calibrate_of(baseline);
+  const double cur_cal = calibrate_of(current);
+  if (base_cal <= 0.0 || cur_cal <= 0.0) {
     err << "perf_compare: both sides need a positive `calibrate` point\n";
     return std::nullopt;
   }
-  return cur_cal->second.value / base_cal->second.value;
+  return cur_cal / base_cal;
 }
 
 int compare(const Artifact& baseline_artifact, const Artifact& current_artifact,

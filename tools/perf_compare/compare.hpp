@@ -77,11 +77,15 @@ struct Artifact {
 /// True when metric value `a` beats `b` in the point's direction.
 [[nodiscard]] bool better(const Point& point, double a, double b);
 
-/// The merge rule behind --merge and --update-baseline: each point is the
-/// best across the inputs (direction-aware), except that host-sensitive
-/// points come only from inputs of the last input's host class, which the
-/// result takes. So list the fresh runs last. A classless last input yields a
-/// classless result without host-sensitive points.
+/// The merge rule behind --merge and --update-baseline: the result takes the
+/// last input's `calibrate` and host class. Each other point is the best
+/// across the inputs (direction-aware) after rescaling every input's values
+/// to that calibrate, the same normalization the gate applies: a throughput
+/// is scaled by last / own calibrate, a cost by own / last. The kept point
+/// is written with its rescaled items_per_second. An input without a
+/// positive calibrate, or any input when the last has none, is taken
+/// unscaled. Host-sensitive points come only from inputs of the last input's
+/// class; a classless last input yields a classless result without them.
 [[nodiscard]] Artifact merge_artifacts(const std::vector<Artifact>& inputs);
 
 /// The gate quantity: >= 1.0 means the current run is at least as good as

@@ -29,8 +29,11 @@
 //
 // Writes an artifact holding, per benchmark, the best point across the
 // inputs (highest throughput, or lowest cost for lower-is-better points).
-// The result takes the last input's host class, and host-sensitive points
-// come only from inputs of that class — list the fresh runs last.
+// The result takes the last input's `calibrate` and host class. Every
+// input's points are first rescaled to that calibrate (and written
+// rescaled), so each kept point is normalized by the calibrate it is stored
+// with; host-sensitive points come only from inputs of the last input's
+// class.
 // Process-level effects (address-space layout, transparent huge pages) make
 // individual invocations of a benchmark differ far more than repetitions
 // inside one process, so both the committed baseline and the CI measurement
