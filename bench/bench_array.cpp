@@ -1,4 +1,4 @@
-// Array-scale endurance sweep: the multi-chip analog of bench_fig5/fig6.
+// Array-scale endurance sweep: the multi-chip analog of the paper-grid sweeps.
 //
 // A channels × dies array stripes the host LBA space across chips, so the
 // synthetic workload's hot clusters land on *some* chips' stripes and not

@@ -1,5 +1,5 @@
-// Shared command-line handling and JSON reporting for the table/figure
-// reproduction binaries.
+// Shared command-line handling, JSON reporting and the paper's T x k sweep
+// grid for the table/figure reproduction binaries.
 //
 // Every binary runs a scaled-down configuration by default (same block shape
 // and workload structure as the paper, fewer blocks and lower endurance so a
@@ -8,7 +8,7 @@
 //   --blocks N             block count override
 //   --endurance N          endurance override
 //   --trace-days D         base-trace length override
-//   --years Y              simulated duration for fixed-length experiments
+//   --years Y              simulated duration of the fixed-duration sweep
 //   --seed S               workload seed
 //   --jobs N               worker threads (0 = hardware threads). Parallelism
 //                          applies across sweep points and across the shards
@@ -21,13 +21,19 @@
 #ifndef SWL_BENCH_BENCH_COMMON_HPP
 #define SWL_BENCH_BENCH_COMMON_HPP
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/contracts.hpp"
 #include "core/sync.hpp"
 #include "runner/json.hpp"
 #include "runner/sweep_runner.hpp"
@@ -38,7 +44,7 @@ namespace swl::bench {
 
 struct Options {
   sim::ExperimentScale scale;
-  double years = 0.02;  // fixed-duration experiments (Table 4, Figs. 6-7)
+  double years = 0.02;  // simulated duration of bench_fixed_duration's sweep
   bool paper_scale = false;
   unsigned jobs = 0;      // 0 = one worker per hardware thread
   unsigned shards = 8;    // shard count for sharded replay points (>= 1)
@@ -67,11 +73,21 @@ inline std::uint64_t parse_u64(const char* flag, const std::string& value) {
   }
 }
 
-inline double parse_f64(const char* flag, const std::string& value) {
+/// A count that must be at least 1 and fit in T.
+template <typename T>
+T parse_count(const char* flag, const std::string& value) {
+  const std::uint64_t parsed = parse_u64(flag, value);
+  if (parsed == 0 || parsed > std::numeric_limits<T>::max()) flag_value_error(flag, value);
+  return static_cast<T>(parsed);
+}
+
+/// A finite, strictly positive length (simulated years or trace days).
+inline double parse_length(const char* flag, const std::string& value) {
   try {
     std::size_t pos = 0;
     const double parsed = std::stod(value, &pos);
     if (value.empty() || pos != value.size()) flag_value_error(flag, value);
+    if (!std::isfinite(parsed) || parsed <= 0.0) flag_value_error(flag, value);
     return parsed;
   } catch (const std::logic_error&) {
     flag_value_error(flag, value);
@@ -149,25 +165,20 @@ inline Options parse_options(int argc, char** argv) {
       opt.years = 10.0;
       opt.paper_scale = true;
     } else if (arg == "--blocks") {
-      opt.scale.block_count =
-          static_cast<BlockIndex>(detail::parse_u64("--blocks", need_value("--blocks")));
+      opt.scale.block_count = detail::parse_count<BlockIndex>("--blocks", need_value("--blocks"));
     } else if (arg == "--endurance") {
       opt.scale.endurance =
-          static_cast<std::uint32_t>(detail::parse_u64("--endurance", need_value("--endurance")));
+          detail::parse_count<std::uint32_t>("--endurance", need_value("--endurance"));
     } else if (arg == "--trace-days") {
-      opt.scale.base_trace_days = detail::parse_f64("--trace-days", need_value("--trace-days"));
+      opt.scale.base_trace_days = detail::parse_length("--trace-days", need_value("--trace-days"));
     } else if (arg == "--years") {
-      opt.years = detail::parse_f64("--years", need_value("--years"));
+      opt.years = detail::parse_length("--years", need_value("--years"));
     } else if (arg == "--seed") {
       opt.scale.seed = detail::parse_u64("--seed", need_value("--seed"));
     } else if (arg == "--jobs") {
       opt.jobs = static_cast<unsigned>(detail::parse_u64("--jobs", need_value("--jobs")));
     } else if (arg == "--shards") {
-      const char* value = need_value("--shards");
-      opt.shards = static_cast<unsigned>(detail::parse_u64("--shards", value));
-      // 0 would mean "no shards at all" — reject it like any other malformed
-      // value instead of silently running unsharded.
-      if (opt.shards == 0) detail::flag_value_error("--shards", value);
+      opt.shards = detail::parse_count<unsigned>("--shards", need_value("--shards"));
     } else if (arg == "--json") {
       opt.json_path = need_value("--json");
     } else if (arg == "--help" || arg == "-h") {
@@ -293,6 +304,88 @@ class BenchReport {
   std::chrono::steady_clock::time_point start_;
   runner::Json points_ = runner::Json::array();
 };
+
+/// The paper's evaluation grid (Section 5): Figures 5-7 plot every threshold
+/// T against every mapping mode k, for FTL (a) and NFTL (b). Table 4 reads
+/// four of the cells.
+inline constexpr sim::LayerKind kPaperLayers[] = {sim::LayerKind::ftl, sim::LayerKind::nftl};
+inline constexpr double kPaperThresholds[] = {100, 400, 700, 1000};
+inline constexpr std::uint32_t kPaperKs[] = {3, 2, 1, 0};
+
+/// One simulation of the grid, or of a comparison run beside it.
+struct GridPoint {
+  sim::LayerKind layer;
+  double paper_t = 0;  // the paper's T; 0 = the baseline without SWL
+  std::uint32_t k = 0;
+  bool operator==(const GridPoint&) const = default;
+};
+
+/// The point's SWL configuration: none for the baseline, else k and T
+/// scaled to this run's endurance (labels show the paper's T).
+inline std::optional<wear::LevelerConfig> leveler_config(const Options& opt, const GridPoint& p) {
+  if (p.paper_t == 0) return std::nullopt;
+  wear::LevelerConfig lc;
+  lc.k = p.k;
+  lc.threshold = eff_t(opt, p.paper_t);
+  return lc;
+}
+
+/// The grid's points (per layer the baseline, then every (T, k) cell,
+/// T-major) and their results.
+struct PaperGrid {
+  std::vector<GridPoint> points;
+  std::vector<sim::SimResult> results;  // results[i] is the run of points[i]
+
+  /// The result of `p`, which must be one of `points`.
+  [[nodiscard]] const sim::SimResult& at(const GridPoint& p) const {
+    const auto it = std::find(points.begin(), points.end(), p);
+    SWL_REQUIRE(it != points.end(), "not a point of the paper grid");
+    return results[static_cast<std::size_t>(it - points.begin())];
+  }
+};
+
+/// A grid point's JSON object: sim_result_json plus layer, T, k and baseline.
+inline runner::Json grid_point_json(const GridPoint& p, const sim::SimResult& r) {
+  runner::Json pj = sim_result_json(r);
+  pj.set("layer", sim::to_string(p.layer));
+  pj.set("T", p.paper_t);
+  if (p.paper_t != 0) pj.set("k", p.k);
+  pj.set("baseline", p.paper_t == 0);
+  return pj;
+}
+
+/// Runs the whole grid on `pool` for `years` (stopping each point at its
+/// first block failure when `stop_on_failure`) and adds each point's
+/// grid_point_json to `report`. Every point replays one base trace per layer,
+/// generated once and shared read-only, and results come back in point
+/// order, so --jobs never changes them.
+inline PaperGrid run_paper_grid(const Options& opt, runner::SweepRunner& pool, double years,
+                                bool stop_on_failure, BenchReport& report) {
+  PaperGrid grid;
+  std::vector<trace::Trace> bases;  // indexed like kPaperLayers
+  for (const sim::LayerKind layer : kPaperLayers) {
+    bases.push_back(sim::make_base_trace(opt.scale, layer));
+    grid.points.push_back({layer});
+    for (const double t : kPaperThresholds) {
+      for (const std::uint32_t k : kPaperKs) grid.points.push_back({layer, t, k});
+    }
+  }
+  grid.results = pool.map(grid.points.size(), [&](std::size_t i) {
+    const GridPoint& p = grid.points[i];
+    const trace::Trace& base = bases[p.layer == kPaperLayers[0] ? 0 : 1];
+    return sim::run_infinite_on(opt.scale, p.layer, leveler_config(opt, p), base, years,
+                                stop_on_failure);
+  });
+  for (std::size_t i = 0; i < grid.points.size(); ++i) {
+    report.add_point(grid_point_json(grid.points[i], grid.results[i]));
+  }
+  return grid;
+}
+
+/// Panel title of a figure's per-layer table: "(a) FTL", "(b) NFTL".
+inline const char* panel_title(sim::LayerKind layer) {
+  return layer == sim::LayerKind::ftl ? "(a) FTL" : "(b) NFTL";
+}
 
 }  // namespace swl::bench
 

@@ -1,6 +1,7 @@
 #include "sim/experiments.hpp"
 
-#include "core/contracts.hpp"
+#include <algorithm>
+
 #include "trace/segment_replay.hpp"
 
 namespace swl::sim {
@@ -67,50 +68,6 @@ SimResult run_infinite_on(const ExperimentScale& scale, LayerKind layer,
                           double years, bool stop_on_failure) {
   return run_config_on(make_sim_config(scale, layer, leveler), scale, base, years,
                        stop_on_failure);
-}
-
-namespace {
-
-SimResult run_infinite(const ExperimentScale& scale, LayerKind layer,
-                       std::optional<wear::LevelerConfig> leveler, double years,
-                       bool stop_on_failure) {
-  const trace::Trace base = make_base_trace(scale, layer);
-  return run_infinite_on(scale, layer, leveler, base, years, stop_on_failure);
-}
-
-}  // namespace
-
-EnduranceOutcome run_endurance(const ExperimentScale& scale, LayerKind layer,
-                               std::optional<wear::LevelerConfig> leveler) {
-  EnduranceOutcome out;
-  out.sim = run_infinite(scale, layer, leveler, scale.max_years, /*stop_on_failure=*/true);
-  if (out.sim.first_failure_years.has_value()) {
-    out.failed = true;
-    out.first_failure_years = *out.sim.first_failure_years;
-  } else {
-    out.first_failure_years = scale.max_years;
-  }
-  return out;
-}
-
-SimResult run_for_years(const ExperimentScale& scale, LayerKind layer,
-                        std::optional<wear::LevelerConfig> leveler, double years) {
-  SWL_REQUIRE(years > 0.0, "years must be positive");
-  return run_infinite(scale, layer, leveler, years, /*stop_on_failure=*/false);
-}
-
-OverheadOutcome run_overhead(const ExperimentScale& scale, LayerKind layer,
-                             const wear::LevelerConfig& leveler, double years) {
-  OverheadOutcome out;
-  out.with_swl = run_for_years(scale, layer, leveler, years);
-  out.without_swl = run_for_years(scale, layer, std::nullopt, years);
-  const auto erases_with = static_cast<double>(out.with_swl.counters.total_erases());
-  const auto erases_without = static_cast<double>(out.without_swl.counters.total_erases());
-  const auto copies_with = static_cast<double>(out.with_swl.counters.total_live_copies());
-  const auto copies_without = static_cast<double>(out.without_swl.counters.total_live_copies());
-  out.erase_ratio_percent = erases_without > 0.0 ? 100.0 * erases_with / erases_without : 100.0;
-  out.copy_ratio_percent = copies_without > 0.0 ? 100.0 * copies_with / copies_without : 100.0;
-  return out;
 }
 
 }  // namespace swl::sim

@@ -1,9 +1,10 @@
-// Paper-experiment harness (Section 5 of the paper).
+// Paper-experiment plumbing (Section 5 of the paper).
 //
-// Wraps the simulator into the three experiment shapes of the evaluation:
-//   - endurance / first-failure-time runs        (Figure 5)
-//   - fixed-duration wear-distribution runs      (Table 4)
-//   - SWL-vs-baseline overhead comparisons       (Figures 6 and 7)
+// The evaluation runs the simulator in two shapes, both on an infinite trace
+// that replays segments of one finite base trace: until the first block wears
+// out (Figure 5) and for a fixed simulated duration (Table 4, Figures 6 and
+// 7). run_infinite_on / run_config_on run either shape; the benches sweep
+// them over shared base traces.
 //
 // Experiments run at a configurable scale. The default scale preserves the
 // paper's block shape (MLC×2: 128 pages × 2 KB) and hot/cold workload
@@ -61,11 +62,12 @@ struct ExperimentScale {
 
 /// Generates the finite base trace the infinite trace replays segments of.
 /// Sweeps should generate this once per layer kind and pass it to
-/// run_endurance_on / run_for_years_on below.
+/// run_infinite_on / run_config_on below.
 [[nodiscard]] trace::Trace make_base_trace(const ExperimentScale& scale, LayerKind layer);
 
-/// As run_endurance / run_for_years, but replaying segments of an existing
-/// base trace (avoids regenerating the workload for every sweep point).
+/// Runs `layer` (with SWL when `leveler` is set) on segments of `base` for
+/// `years` of simulated time, or until the first block wears out when
+/// `stop_on_failure`.
 [[nodiscard]] SimResult run_infinite_on(const ExperimentScale& scale, LayerKind layer,
                                         std::optional<wear::LevelerConfig> leveler,
                                         const trace::Trace& base, double years,
@@ -77,37 +79,6 @@ struct ExperimentScale {
 [[nodiscard]] SimResult run_config_on(const SimConfig& config, const ExperimentScale& scale,
                                       const trace::Trace& base, double years,
                                       bool stop_on_failure);
-
-struct EnduranceOutcome {
-  /// Years to the first worn-out block; equals the horizon when no block
-  /// wore out within scale.max_years (failed == false then).
-  double first_failure_years = 0.0;
-  bool failed = false;
-  SimResult sim;
-};
-
-/// Figure 5: run the infinite trace until the first block failure.
-[[nodiscard]] EnduranceOutcome run_endurance(const ExperimentScale& scale, LayerKind layer,
-                                             std::optional<wear::LevelerConfig> leveler);
-
-/// Table 4: run the infinite trace for a fixed number of simulated years and
-/// report the erase-count distribution.
-[[nodiscard]] SimResult run_for_years(const ExperimentScale& scale, LayerKind layer,
-                                      std::optional<wear::LevelerConfig> leveler, double years);
-
-struct OverheadOutcome {
-  /// 100 * (erases with SWL) / (erases without SWL) — Figure 6's y-axis.
-  double erase_ratio_percent = 0.0;
-  /// 100 * (live copies with SWL) / (live copies without SWL) — Figure 7.
-  double copy_ratio_percent = 0.0;
-  SimResult with_swl;
-  SimResult without_swl;
-};
-
-/// Figures 6 and 7: identical workload with and without SWL for a fixed
-/// number of simulated years.
-[[nodiscard]] OverheadOutcome run_overhead(const ExperimentScale& scale, LayerKind layer,
-                                           const wear::LevelerConfig& leveler, double years);
 
 }  // namespace swl::sim
 

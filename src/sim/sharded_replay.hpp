@@ -1,6 +1,6 @@
 // Deterministic intra-point sharding of segment-replay runs.
 //
-// A single sweep point (one fig5/fig6 configuration) is a serial replay: one
+// A single sweep point (one paper-grid configuration) is a serial replay: one
 // simulator, one record stream. Sharding splits that point's record budget
 // across N independent *device replicas* — each shard owns a fresh simulator
 // over the same SimConfig and replays its own SegmentReplaySource stream,

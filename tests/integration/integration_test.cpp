@@ -154,10 +154,12 @@ TEST(Integration, SwlReducesEraseDeviationOnBothLayers) {
   scale.base_trace_days = 0.25;
   scale.seed = 9;
   for (const LayerKind kind : {LayerKind::ftl, LayerKind::nftl}) {
-    const auto base = sim::run_for_years(scale, kind, std::nullopt, 0.1);
+    const trace::Trace trace = sim::make_base_trace(scale, kind);
+    const auto base = sim::run_infinite_on(scale, kind, std::nullopt, trace, 0.1,
+                                           /*stop_on_failure=*/false);
     wear::LevelerConfig lc;
     lc.threshold = 4;  // aggressive leveling so 0.1 years show a clear effect
-    const auto with = sim::run_for_years(scale, kind, lc, 0.1);
+    const auto with = sim::run_infinite_on(scale, kind, lc, trace, 0.1, /*stop_on_failure=*/false);
     EXPECT_LT(with.erase_summary.stddev, base.erase_summary.stddev)
         << sim::to_string(kind);
   }

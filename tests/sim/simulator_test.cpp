@@ -251,36 +251,53 @@ TEST(Experiments, PaperScaleMatchesSection5) {
 }
 
 TEST(Experiments, EnduranceRunReportsFailure) {
-  const EnduranceOutcome out = run_endurance(tiny_scale(), LayerKind::nftl, std::nullopt);
-  EXPECT_TRUE(out.failed);
-  EXPECT_GT(out.first_failure_years, 0.0);
+  const ExperimentScale scale = tiny_scale();
+  const trace::Trace base = make_base_trace(scale, LayerKind::nftl);
+  const SimResult r = run_infinite_on(scale, LayerKind::nftl, std::nullopt, base,
+                                      scale.max_years, /*stop_on_failure=*/true);
+  ASSERT_TRUE(r.first_failure_years.has_value());
+  EXPECT_GT(*r.first_failure_years, 0.0);
 }
 
 TEST(Experiments, SwlExtendsNftlFirstFailure) {
   const ExperimentScale scale = tiny_scale();
-  const EnduranceOutcome base = run_endurance(scale, LayerKind::nftl, std::nullopt);
+  const trace::Trace trace = make_base_trace(scale, LayerKind::nftl);
+  const SimResult base = run_infinite_on(scale, LayerKind::nftl, std::nullopt, trace,
+                                         scale.max_years, /*stop_on_failure=*/true);
   wear::LevelerConfig lc;
   lc.threshold = scaled_threshold(500, scale);  // = 3 at endurance 60
   lc.k = 0;
-  const EnduranceOutcome with = run_endurance(scale, LayerKind::nftl, lc);
-  ASSERT_TRUE(base.failed);
-  EXPECT_GT(with.first_failure_years, base.first_failure_years);
+  const SimResult with = run_infinite_on(scale, LayerKind::nftl, lc, trace, scale.max_years,
+                                         /*stop_on_failure=*/true);
+  ASSERT_TRUE(base.first_failure_years.has_value());
+  EXPECT_GT(with.first_failure_years.value_or(scale.max_years), *base.first_failure_years);
 }
 
 TEST(Experiments, RunForYearsCoversRequestedSpan) {
-  const SimResult r = run_for_years(tiny_scale(), LayerKind::ftl, std::nullopt, 0.02);
+  const ExperimentScale scale = tiny_scale();
+  const SimResult r = run_infinite_on(scale, LayerKind::ftl, std::nullopt,
+                                      make_base_trace(scale, LayerKind::ftl), 0.02,
+                                      /*stop_on_failure=*/false);
   EXPECT_NEAR(r.elapsed_years, 0.02, 0.002);
   EXPECT_GT(r.counters.host_writes, 0u);
 }
 
 TEST(Experiments, OverheadComparesSameWorkload) {
+  const ExperimentScale scale = tiny_scale();
+  const trace::Trace trace = make_base_trace(scale, LayerKind::nftl);
   wear::LevelerConfig lc;
   lc.threshold = 50;
-  const OverheadOutcome out = run_overhead(tiny_scale(), LayerKind::nftl, lc, 0.05);
+  const SimResult with = run_infinite_on(scale, LayerKind::nftl, lc, trace, 0.05,
+                                         /*stop_on_failure=*/false);
+  const SimResult without = run_infinite_on(scale, LayerKind::nftl, std::nullopt, trace, 0.05,
+                                            /*stop_on_failure=*/false);
+  ASSERT_GT(without.counters.total_erases(), 0u);
+  const double erase_ratio_percent = 100.0 * static_cast<double>(with.counters.total_erases()) /
+                                     static_cast<double>(without.counters.total_erases());
   // SWL adds some erases but the overhead stays bounded.
-  EXPECT_GE(out.erase_ratio_percent, 99.0);
-  EXPECT_LT(out.erase_ratio_percent, 150.0);
-  EXPECT_EQ(out.with_swl.counters.host_writes, out.without_swl.counters.host_writes);
+  EXPECT_GE(erase_ratio_percent, 99.0);
+  EXPECT_LT(erase_ratio_percent, 150.0);
+  EXPECT_EQ(with.counters.host_writes, without.counters.host_writes);
 }
 
 }  // namespace
