@@ -34,15 +34,15 @@ int main(int argc, char** argv) {
   using namespace swl;
   using sim::fmt;
 
-  bench::Options opt = bench::parse_options(argc, argv);
+  bench::Options opt = bench::parse_options(argc, argv, bench::kPaperLayers);
   bench::BenchReport report("ablation", opt);
   std::cout << "Ablations (first failure time in simulated years; erase-count stddev)\n";
   bench::print_scale(opt);
   const double t100 = bench::eff_t(opt, 100);
 
   // One immutable base trace per layer kind, shared read-only by all points.
-  const trace::Trace ftl_base = sim::make_base_trace(opt.scale, sim::LayerKind::ftl);
-  const trace::Trace nftl_base = sim::make_base_trace(opt.scale, sim::LayerKind::nftl);
+  runner::SweepRunner pool(opt.jobs);
+  const std::vector<trace::Trace> bases = bench::make_base_traces(opt, pool, bench::kPaperLayers);
 
   // A point whose configuration equals an earlier one's reuses that run.
   struct Run {
@@ -123,11 +123,10 @@ int main(int argc, char** argv) {
               });
   }
 
-  runner::SweepRunner pool(opt.jobs);
   const std::vector<sim::SimResult> results = pool.map(runs.size(), [&](std::size_t i) {
     sim::SimConfig config = sim::make_sim_config(opt.scale, runs[i].layer, std::nullopt);
     runs[i].mutate(config);
-    const trace::Trace& base = runs[i].layer == sim::LayerKind::ftl ? ftl_base : nftl_base;
+    const trace::Trace& base = bases[runs[i].layer == bench::kPaperLayers[0] ? 0 : 1];
     return sim::run_config_on(config, opt.scale, base, opt.scale.max_years,
                               /*stop_on_failure=*/true);
   });

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   using namespace swl;
   using sim::fmt;
 
-  const bench::Options opt = bench::parse_options(argc, argv);
+  const bench::Options opt = bench::parse_options(argc, argv, bench::kPaperLayers);
   bench::BenchReport report("array", opt);
   std::cout << "Array sweep: first failure + cross-chip wear, 2 channels x 2 dies\n";
   bench::print_scale(opt);

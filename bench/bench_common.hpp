@@ -29,6 +29,8 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +41,7 @@
 #include "runner/sweep_runner.hpp"
 #include "sim/experiments.hpp"
 #include "sim/report.hpp"
+#include "trace/synthetic.hpp"
 
 namespace swl::bench {
 
@@ -53,8 +56,11 @@ struct Options {
 
 namespace detail {
 
-[[noreturn]] inline void flag_value_error(const char* flag, const std::string& value) {
-  std::cerr << "invalid value for " << flag << ": '" << value << "'\n";
+[[noreturn]] inline void flag_value_error(const char* flag, const std::string& value,
+                                          const std::string& why = "") {
+  std::cerr << "invalid value for " << flag << ": '" << value << "'";
+  if (!why.empty()) std::cerr << " (" << why << ")";
+  std::cerr << "\n";
   std::exit(2);
 }
 
@@ -95,6 +101,13 @@ inline double parse_length(const char* flag, const std::string& value) {
 }
 
 }  // namespace detail
+
+/// The paper's evaluation grid (Section 5): Figures 5-7 plot every threshold
+/// T against every mapping mode k, for FTL (a) and NFTL (b). Table 4 reads
+/// four of the cells.
+inline constexpr sim::LayerKind kPaperLayers[] = {sim::LayerKind::ftl, sim::LayerKind::nftl};
+inline constexpr double kPaperThresholds[] = {100, 400, 700, 1000};
+inline constexpr std::uint32_t kPaperKs[] = {3, 2, 1, 0};
 
 /// Pure-ALU spin (xorshift64): no memory traffic, no branches that depend on
 /// data — a stable proxy for the host's single-thread speed. Benches report
@@ -147,8 +160,15 @@ inline runner::Json host_class_json() {
   return host;
 }
 
-inline Options parse_options(int argc, char** argv) {
+/// Parses the flags. `layers` are the translation layers whose base traces
+/// the bench replays: each must stand up on the chosen device and its
+/// generator must yield a record, or the run exits 2 naming --blocks or
+/// --trace-days before any simulation. The layers and the generator decide,
+/// so the smallest legal values stay where their rules live.
+inline Options parse_options(int argc, char** argv,
+                             std::span<const sim::LayerKind> layers = {}) {
   Options opt;  // scaled defaults come from sim::ExperimentScale
+  std::string days_arg;  // as typed, for the error message
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&](const char* flag) -> const char* {
@@ -170,7 +190,8 @@ inline Options parse_options(int argc, char** argv) {
       opt.scale.endurance =
           detail::parse_count<std::uint32_t>("--endurance", need_value("--endurance"));
     } else if (arg == "--trace-days") {
-      opt.scale.base_trace_days = detail::parse_length("--trace-days", need_value("--trace-days"));
+      days_arg = need_value("--trace-days");
+      opt.scale.base_trace_days = detail::parse_length("--trace-days", days_arg);
     } else if (arg == "--years") {
       opt.years = detail::parse_length("--years", need_value("--years"));
     } else if (arg == "--seed") {
@@ -194,6 +215,20 @@ inline Options parse_options(int argc, char** argv) {
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       std::exit(2);
+    }
+  }
+  for (const sim::LayerKind layer : layers) {
+    std::optional<trace::SyntheticTraceSource> source;
+    try {
+      source.emplace(
+          sim::make_trace_config(opt.scale, sim::exported_lba_count(opt.scale, layer)));
+    } catch (const std::logic_error& e) {
+      detail::flag_value_error("--blocks", std::to_string(opt.scale.block_count),
+                               std::string(sim::to_string(layer)) + ": " + e.what());
+    }
+    if (!source->next().has_value()) {
+      detail::flag_value_error("--trace-days", days_arg,
+                               std::string(sim::to_string(layer)) + ": the base trace is empty");
     }
   }
   return opt;
@@ -305,13 +340,6 @@ class BenchReport {
   runner::Json points_ = runner::Json::array();
 };
 
-/// The paper's evaluation grid (Section 5): Figures 5-7 plot every threshold
-/// T against every mapping mode k, for FTL (a) and NFTL (b). Table 4 reads
-/// four of the cells.
-inline constexpr sim::LayerKind kPaperLayers[] = {sim::LayerKind::ftl, sim::LayerKind::nftl};
-inline constexpr double kPaperThresholds[] = {100, 400, 700, 1000};
-inline constexpr std::uint32_t kPaperKs[] = {3, 2, 1, 0};
-
 /// One simulation of the grid, or of a comparison run beside it.
 struct GridPoint {
   sim::LayerKind layer;
@@ -354,6 +382,15 @@ inline runner::Json grid_point_json(const GridPoint& p, const sim::SimResult& r)
   return pj;
 }
 
+/// sim::make_base_trace for each of `layers`, in that order, generated as
+/// tasks on `pool`: at --jobs >= 2 the serial prefix before a sweep is one
+/// generation rather than one per layer.
+inline std::vector<trace::Trace> make_base_traces(const Options& opt, runner::SweepRunner& pool,
+                                                  std::span<const sim::LayerKind> layers) {
+  return pool.map(layers.size(),
+                  [&](std::size_t i) { return sim::make_base_trace(opt.scale, layers[i]); });
+}
+
 /// Runs the whole grid on `pool` for `years` (stopping each point at its
 /// first block failure when `stop_on_failure`) and adds each point's
 /// grid_point_json to `report`. Every point replays one base trace per layer,
@@ -362,9 +399,8 @@ inline runner::Json grid_point_json(const GridPoint& p, const sim::SimResult& r)
 inline PaperGrid run_paper_grid(const Options& opt, runner::SweepRunner& pool, double years,
                                 bool stop_on_failure, BenchReport& report) {
   PaperGrid grid;
-  std::vector<trace::Trace> bases;  // indexed like kPaperLayers
+  const std::vector<trace::Trace> bases = make_base_traces(opt, pool, kPaperLayers);
   for (const sim::LayerKind layer : kPaperLayers) {
-    bases.push_back(sim::make_base_trace(opt.scale, layer));
     grid.points.push_back({layer});
     for (const double t : kPaperThresholds) {
       for (const std::uint32_t k : kPaperKs) grid.points.push_back({layer, t, k});

@@ -29,7 +29,10 @@ int main(int argc, char** argv) {
   using namespace swl;
   using sim::fmt;
 
-  const bench::Options opt = bench::parse_options(argc, argv);
+  // The grid's FTL and NFTL plus the DFTL rows of section (c).
+  constexpr sim::LayerKind kLayers[] = {sim::LayerKind::ftl, sim::LayerKind::nftl,
+                                        sim::LayerKind::dftl};
+  const bench::Options opt = bench::parse_options(argc, argv, kLayers);
   bench::BenchReport report("fig5", opt);
   std::cout << "Figure 5: first failure time (simulated years until any block wears out)\n";
   bench::print_scale(opt);

@@ -74,7 +74,7 @@ void print_ratio_figure(const bench::PaperGrid& grid, Count count, Describe desc
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_options(argc, argv);
+  const bench::Options opt = bench::parse_options(argc, argv, bench::kPaperLayers);
   bench::BenchReport report("fixed_duration", opt);
   std::cout << "Table 4: erase-count distribution after " << opt.years
             << " simulated years\n";

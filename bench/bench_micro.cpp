@@ -567,7 +567,10 @@ void array_replay_point(bench::BenchReport& report, const bench::Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::parse_options(argc, argv);
+  // The replay points run all three layers over the FTL-sized base trace.
+  constexpr sim::LayerKind kLayers[] = {sim::LayerKind::ftl, sim::LayerKind::nftl,
+                                        sim::LayerKind::dftl};
+  bench::Options opt = bench::parse_options(argc, argv, kLayers);
   std::cout << "bench_micro: hot-path micro-benchmarks + replay pipeline\n";
   bench::print_scale(opt);
   bench::BenchReport report("micro", opt);

@@ -1,5 +1,6 @@
 #include "core/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/contracts.hpp"
@@ -84,13 +85,24 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s) {
   }
   for (auto& c : cdf_) c /= acc;
   cdf_.back() = 1.0;  // guard against accumulated rounding
+  guide_.resize(n + 1);
+  std::uint64_t rank = 0;
+  for (std::uint64_t k = 0; k <= n; ++k) {
+    const double edge = static_cast<double>(k) / static_cast<double>(n);
+    while (cdf_[rank] < edge) ++rank;
+    guide_[k] = rank;
+  }
 }
 
-std::uint64_t ZipfSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform();
-  // first index with cdf_[i] >= u
-  std::uint64_t lo = 0;
-  std::uint64_t hi = n_ - 1;
+std::uint64_t ZipfSampler::rank_of(double u) const noexcept {
+  // Bucket k = floor(u * n) holds the answer between guide_[k] and
+  // guide_[k + 1]. u * n can round across a bucket edge, so widen the
+  // bounds until they bracket the first index with cdf_[i] >= u.
+  const std::uint64_t k = std::min(static_cast<std::uint64_t>(u * static_cast<double>(n_)), n_ - 1);
+  std::uint64_t lo = guide_[k];
+  std::uint64_t hi = guide_[k + 1];
+  while (lo > 0 && cdf_[lo - 1] >= u) --lo;
+  while (hi < n_ - 1 && cdf_[hi] < u) ++hi;
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     if (cdf_[mid] < u) {

@@ -56,21 +56,32 @@ class Rng {
 
 /// Discrete Zipf(s) sampler over {0, 1, ..., n-1} via inverse-CDF table.
 /// Rank 0 is the most popular item. Used to model hot/cold skew.
+///
+/// A guide table (Chen & Asau, 1974) splits [0, 1) into n equal buckets and
+/// records the first rank of each, so a draw searches only the few ranks of
+/// its bucket instead of the whole CDF.
 class ZipfSampler {
  public:
   /// Requires n > 0 and s >= 0 (s == 0 degenerates to uniform).
   ZipfSampler(std::uint64_t n, double s);
 
-  std::uint64_t sample(Rng& rng) const noexcept;
+  std::uint64_t sample(Rng& rng) const noexcept { return rank_of(rng.uniform()); }
+
+  /// The rank a uniform variate maps to: the first rank whose CDF is >= u.
+  /// Requires 0 <= u < 1.
+  [[nodiscard]] std::uint64_t rank_of(double u) const noexcept;
 
   [[nodiscard]] std::uint64_t size() const noexcept { return n_; }
   [[nodiscard]] double skew() const noexcept { return s_; }
+  /// cdf()[i] = P(rank <= i); the last entry is exactly 1.
+  [[nodiscard]] const std::vector<double>& cdf() const noexcept { return cdf_; }
 
  private:
   std::uint64_t n_;
   double s_;
-  // cdf_[i] = P(rank <= i); binary-searched at sample time.
   std::vector<double> cdf_;
+  // guide_[k] = first rank with cdf_ >= k / n, for k in [0, n].
+  std::vector<std::uint64_t> guide_;
 };
 
 }  // namespace swl

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/contracts.hpp"
+#include "core/permutation.hpp"
 
 namespace swl::trace {
 
@@ -61,8 +62,15 @@ SyntheticTraceSource::SyntheticTraceSource(const SyntheticConfig& config)
              "degenerate region layout — LBA space too small for the coverage settings");
 
   if (config_.scatter_chunk_pages > 0) {
-    const Lba chunks = config_.lba_count / config_.scatter_chunk_pages;
-    if (chunks >= 2) chunk_perm_.emplace(chunks, config_.seed ^ 0x5ca77e2ULL);
+    const Lba chunk_pages = config_.scatter_chunk_pages;
+    const Lba chunks = config_.lba_count / chunk_pages;
+    if (chunks >= 2) {
+      const RandomPermutation perm(chunks, config_.seed ^ 0x5ca77e2ULL);
+      chunk_map_.resize((config_.lba_count + chunk_pages - 1) / chunk_pages);
+      for (Lba c = 0; c < chunk_map_.size(); ++c) {
+        chunk_map_[c] = c < chunks ? static_cast<Lba>(perm.forward(c)) : c;
+      }
+    }
   }
 
   hot_event_p_ = hot_event_probability(config_);
@@ -74,14 +82,6 @@ SyntheticTraceSource::SyntheticTraceSource(const SyntheticConfig& config)
   next_read_s_ = config_.reads_per_second > 0.0
                      ? rng_.exponential(1.0 / config_.reads_per_second)
                      : config_.duration_s + 1.0;
-}
-
-Lba SyntheticTraceSource::scatter(Lba region_lba) const {
-  if (!chunk_perm_.has_value()) return region_lba;
-  const Lba chunk = region_lba / config_.scatter_chunk_pages;
-  const Lba offset = region_lba % config_.scatter_chunk_pages;
-  if (chunk >= chunk_perm_->size()) return region_lba;  // identity tail
-  return static_cast<Lba>(chunk_perm_->forward(chunk)) * config_.scatter_chunk_pages + offset;
 }
 
 Lba SyntheticTraceSource::pick_hot_lba() {

@@ -24,8 +24,8 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
-#include "core/permutation.hpp"
 #include "core/rng.hpp"
 #include "trace/trace.hpp"
 
@@ -103,6 +103,14 @@ class SyntheticTraceSource final : public TraceSource {
 
   [[nodiscard]] const SyntheticConfig& config() const noexcept { return config_; }
 
+  /// Maps a region-space address to its scattered LBA (identity when
+  /// scattering is disabled, and on the tail past the last whole chunk).
+  [[nodiscard]] Lba scatter(Lba region_lba) const {
+    if (chunk_map_.empty()) return region_lba;
+    const Lba chunk_pages = config_.scatter_chunk_pages;
+    return chunk_map_[region_lba / chunk_pages] * chunk_pages + region_lba % chunk_pages;
+  }
+
  private:
   /// Emits the next record into `out`; false at end of trace. Shared by
   /// next() and next_batch() so both yield the identical stream.
@@ -110,9 +118,6 @@ class SyntheticTraceSource final : public TraceSource {
   void start_write_burst();
   [[nodiscard]] Lba pick_hot_lba();
   [[nodiscard]] Lba pick_read_lba();
-  /// Maps a region-space address to its scattered LBA (identity when
-  /// scattering is disabled).
-  [[nodiscard]] Lba scatter(Lba region_lba) const;
 
   SyntheticConfig config_;
   Rng rng_;
@@ -134,8 +139,10 @@ class SyntheticTraceSource final : public TraceSource {
   double write_event_gap_mean_s_ = 1.0;
   // hot_event_probability(config_), computed once (it is pure in config_).
   double hot_event_p_ = 0.0;
-  // Chunk permutation implementing the file-system scattering.
-  std::optional<RandomPermutation> chunk_perm_;
+  // File-system scattering: chunk_map_[c] is where region chunk c lands, a
+  // seeded RandomPermutation of the whole chunks tabulated once, plus the
+  // identity for a partial tail chunk. Empty when scattering is off.
+  std::vector<Lba> chunk_map_;
 };
 
 }  // namespace swl::trace

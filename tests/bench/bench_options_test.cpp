@@ -3,6 +3,7 @@
 // simulation runs.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,15 +12,16 @@
 namespace swl::bench {
 namespace {
 
-Options parse(std::vector<std::string> args) {
+Options parse(std::vector<std::string> args, std::span<const sim::LayerKind> layers = {}) {
   args.insert(args.begin(), "bench");
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
-  return parse_options(static_cast<int>(argv.size()), argv.data());
+  return parse_options(static_cast<int>(argv.size()), argv.data(), layers);
 }
 
-void expect_rejected(const std::string& flag, const std::string& value) {
-  EXPECT_EXIT(parse({flag, value}), ::testing::ExitedWithCode(2),
+void expect_rejected(const std::string& flag, const std::string& value,
+                     std::span<const sim::LayerKind> layers = {}) {
+  EXPECT_EXIT(parse({flag, value}, layers), ::testing::ExitedWithCode(2),
               "invalid value for " + flag + ": '" + value + "'")
       << flag << " " << value;
 }
@@ -53,6 +55,25 @@ TEST(BenchOptions, RejectsZeroOrOversizedEndurance) {
 
 TEST(BenchOptions, RejectsZeroOrOversizedShards) {
   for (const char* v : {"0", "4294967296"}) expect_rejected("--shards", v);
+}
+
+// Values the parser alone accepts but the bench's layers or its trace
+// generator cannot run: rejected before any simulation, not by an abort
+// mid-sweep.
+TEST(BenchOptions, RejectsADeviceTooSmallForTheLayers) {
+  for (const char* v : {"1", "2"}) expect_rejected("--blocks", v, kPaperLayers);
+}
+
+TEST(BenchOptions, RejectsABaseTraceWithNoRecord) {
+  expect_rejected("--trace-days", "1e-9", kPaperLayers);
+}
+
+TEST(BenchOptions, AcceptsTheSmallestDeviceEachLayerRuns) {
+  // FTL and NFTL stand up on three blocks; the DFTL's reserve needs five.
+  EXPECT_EQ(parse({"--blocks", "3"}, kPaperLayers).scale.block_count, 3u);
+  constexpr sim::LayerKind kWithDftl[] = {sim::LayerKind::ftl, sim::LayerKind::dftl};
+  expect_rejected("--blocks", "3", kWithDftl);
+  EXPECT_EQ(parse({"--blocks", "5"}, kWithDftl).scale.block_count, 5u);
 }
 
 }  // namespace

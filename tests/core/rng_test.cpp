@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -138,6 +139,43 @@ TEST(Zipf, SamplesCoverSupport) {
   std::array<bool, 5> seen{};
   for (int i = 0; i < 10'000; ++i) seen[z.sample(rng)] = true;
   for (const bool s : seen) EXPECT_TRUE(s);
+}
+
+// The guide table is an index, not an approximation: every u must map to
+// exactly the rank a binary search over the CDF (std::lower_bound) finds,
+// including u on a bucket edge k/n, one ulp either side of it, and the
+// extremes of [0, 1).
+TEST(Zipf, GuidedRankEqualsLowerBound) {
+  for (const std::uint64_t n : {1ULL, 2ULL, 3ULL, 17ULL, 4'577ULL, 24'000ULL}) {
+    for (const double s : {0.0, 0.6, 0.9, 1.0, 2.5}) {
+      const ZipfSampler z(n, s);
+      const std::vector<double>& cdf = z.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      ASSERT_EQ(cdf.back(), 1.0);
+      const auto expect_exact = [&](double u) {
+        const auto want = static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ASSERT_EQ(z.rank_of(u), want) << "n=" << n << " s=" << s << " u=" << u;
+      };
+      expect_exact(0.0);
+      expect_exact(std::nextafter(1.0, 0.0));
+      for (std::uint64_t k = 0; k < n; ++k) {
+        const double edge = static_cast<double>(k) / static_cast<double>(n);
+        expect_exact(edge);
+        if (k > 0) expect_exact(std::nextafter(edge, 0.0));
+        expect_exact(std::nextafter(edge, 1.0));
+      }
+      Rng rng(n * 31 + static_cast<std::uint64_t>(s * 10));
+      for (int i = 0; i < 100'000; ++i) expect_exact(rng.uniform());
+    }
+  }
+}
+
+TEST(Zipf, SampleIsTheRankOfOneUniformDraw) {
+  const ZipfSampler z(4'577, 0.9);
+  Rng a(47);
+  Rng b(47);
+  for (int i = 0; i < 10'000; ++i) ASSERT_EQ(z.sample(a), z.rank_of(b.uniform()));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "core/permutation.hpp"
 #include "trace/segment_replay.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
@@ -94,6 +95,94 @@ TEST(Synthetic, StreamingMatchesMaterialized) {
     const auto rec = source.next();
     ASSERT_TRUE(rec.has_value());
     ASSERT_EQ(*rec, t[i]) << "record " << i;
+  }
+}
+
+// Golden stream: FNV-1a over every record's (time_us, lba, op), pinned to
+// the values this generator has always produced. The base traces feed every
+// sweep and e2e fingerprint, so a change here is a stream change and must be
+// declared as one (TESTING.md, "Golden streams").
+std::uint64_t stream_hash(const Trace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const TraceRecord& r : t) {
+    mix(r.time_us, 8);
+    mix(r.lba, 4);
+    mix(static_cast<std::uint64_t>(r.op), 1);
+  }
+  return h;
+}
+
+TEST(Synthetic, GoldenStreamAtE2eSpaces) {
+  // The default config over the FTL and NFTL e2e LBA spaces, four days.
+  for (const auto& [lbas, want] : {std::pair<Lba, std::uint64_t>{32'112, 0xcd51f9e9033dbc8dULL},
+                                   std::pair<Lba, std::uint64_t>{117'888, 0xff6e7be459396b62ULL}}) {
+    SyntheticConfig c;
+    c.lba_count = lbas;
+    c.duration_s = 4.0 * 24 * 3600;
+    const Trace t = generate_synthetic_trace(c);
+    EXPECT_EQ(stream_hash(t), want) << lbas << " LBAs";
+  }
+}
+
+// One day of each preset over 100 000 LBAs, one test each so every test
+// stays well under a second.
+std::uint64_t preset_stream_hash(WorkloadPreset preset) {
+  SyntheticConfig c = preset_config(preset, 100'000);
+  c.duration_s = 24.0 * 3600;
+  return stream_hash(generate_synthetic_trace(c));
+}
+
+TEST(Presets, GoldenStreamDesktop) {
+  EXPECT_EQ(preset_stream_hash(WorkloadPreset::desktop), 0xbf2f5894e75b0e97ULL);
+}
+
+TEST(Presets, GoldenStreamServer) {
+  EXPECT_EQ(preset_stream_hash(WorkloadPreset::server), 0x50ea73ceb4355c2fULL);
+}
+
+TEST(Presets, GoldenStreamSequentialFill) {
+  EXPECT_EQ(preset_stream_hash(WorkloadPreset::sequential_fill), 0x1eef56046d36f424ULL);
+}
+
+TEST(Presets, GoldenStreamUniformRandom) {
+  EXPECT_EQ(preset_stream_hash(WorkloadPreset::uniform_random), 0x5fefe410151f3e81ULL);
+}
+
+// The tabulated scatter is the seeded chunk permutation itself: every whole
+// chunk lands where RandomPermutation sends it, offsets within a chunk are
+// kept, and a partial tail chunk stays in place.
+TEST(Synthetic, ScatterMatchesChunkPermutation) {
+  for (const Lba lbas : {Lba{20'000}, Lba{20'007}, Lba{32'112}}) {
+    SyntheticConfig c = small_config();
+    c.lba_count = lbas;
+    const SyntheticTraceSource source(c);
+    const Lba pages = c.scatter_chunk_pages;
+    const RandomPermutation perm(lbas / pages, c.seed ^ 0x5ca77e2ULL);
+    for (Lba lba = 0; lba < lbas; ++lba) {
+      const Lba chunk = lba / pages;
+      const Lba want = chunk < perm.size()
+                           ? static_cast<Lba>(perm.forward(chunk)) * pages + lba % pages
+                           : lba;
+      ASSERT_EQ(source.scatter(lba), want) << lbas << " LBAs, lba " << lba;
+    }
+  }
+}
+
+TEST(Synthetic, ScatterIsIdentityWhenDisabled) {
+  SyntheticConfig c = small_config();
+  c.scatter_chunk_pages = 0;
+  const SyntheticTraceSource off(c);
+  c.scatter_chunk_pages = c.lba_count;  // one chunk: nothing to permute
+  const SyntheticTraceSource one_chunk(c);
+  for (Lba lba = 0; lba < c.lba_count; ++lba) {
+    ASSERT_EQ(off.scatter(lba), lba);
+    ASSERT_EQ(one_chunk.scatter(lba), lba);
   }
 }
 
